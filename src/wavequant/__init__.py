@@ -1,79 +1,33 @@
 """Wavelet-domain multilevel thresholding of color images, with a benchmark CLI."""
 
-from .filters import (
-    ALL_WAVELETS,
-    SUPPORTED_WAVELETS,
-    FilterBank,
-    WaveletFamily,
-    WaveletName,
-    get_filter,
-    qmf_highpass,
-    synthesis_pair,
-)
-from .image import (
-    ImagePlane,
-    NetpbmError,
-    RgbImage,
-    encoded_size,
-    merge_channels,
-    read_image,
-    split_channels,
-    write_image,
-)
-from .pipeline import (
-    MetricsRecord,
-    PipelineConfig,
-    process_image,
-    process_plane,
-    psnr,
-    run_experiment,
-)
+from .filters import SUPPORTED_WAVELETS, get_filter
+from .image import NetpbmError, RgbImage, read_image, write_image
+from .pipeline import MetricsRecord, psnr, run_experiment
 from .quantize import (
-    BlockPartition,
-    CoeffStats,
+    LEVEL_CHOICES,
     apply_partition,
     build_partition,
-    coeff_stats,
     threshold_cuts,
     threshold_subband,
 )
-from .transform import Decomposition, SubbandTriple, dwt1d, dwt2d, idwt1d, idwt2d
+from .transform import dwt2d, idwt2d
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_WAVELETS",
+    "LEVEL_CHOICES",
     "SUPPORTED_WAVELETS",
-    "BlockPartition",
-    "CoeffStats",
-    "Decomposition",
-    "FilterBank",
-    "ImagePlane",
     "MetricsRecord",
     "NetpbmError",
-    "PipelineConfig",
     "RgbImage",
-    "SubbandTriple",
-    "WaveletFamily",
-    "WaveletName",
     "apply_partition",
     "build_partition",
-    "coeff_stats",
-    "dwt1d",
     "dwt2d",
-    "encoded_size",
     "get_filter",
-    "idwt1d",
     "idwt2d",
-    "merge_channels",
-    "process_image",
-    "process_plane",
     "psnr",
-    "qmf_highpass",
     "read_image",
     "run_experiment",
-    "split_channels",
-    "synthesis_pair",
     "threshold_cuts",
     "threshold_subband",
     "write_image",

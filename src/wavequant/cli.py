@@ -8,42 +8,22 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .filters import ALL_WAVELETS, SUPPORTED_WAVELETS, WaveletName
+from .filters import SUPPORTED_WAVELETS, get_filter
 from .image import NetpbmError, read_image, write_image
-from .pipeline import THRESHOLD_LEVEL_CHOICES, MetricsRecord, run_experiment
-
-DEFAULT_LEVELS = list(THRESHOLD_LEVEL_CHOICES)
-
-
-@dataclass
-class CliConfig:
-    inputs: list[Path]
-    report_path: Path
-    wavelets: list[WaveletName] = field(default_factory=lambda: list(ALL_WAVELETS))
-    levels: list[int] = field(default_factory=lambda: list(DEFAULT_LEVELS))
-    depth: int = 1
-    plot_path: Path | None = None
-    emit_images: Path | None = None
+from .pipeline import MetricsRecord, run_experiment
+from .quantize import LEVEL_CHOICES
 
 
-def _wavelet_list(text: str) -> list[WaveletName]:
-    names = []
-    for part in text.split(","):
-        try:
-            names.append(WaveletName.parse(part))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"unknown wavelet {part.strip()!r}; supported: "
-                f"{', '.join(SUPPORTED_WAVELETS)}"
-            ) from None
-    if not names:
-        raise argparse.ArgumentTypeError("empty wavelet list")
-    return names
+def _wavelet_list(text: str) -> list[str]:
+    try:
+        return [get_filter(part).name for part in text.split(",")]
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _level_list(text: str) -> list[int]:
@@ -53,13 +33,13 @@ def _level_list(text: str) -> list[int]:
             value = int(part)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid level {part.strip()!r}; levels must be in {{3, 5, 7}}"
+                f"invalid level {part.strip()!r}; levels must be in {set(LEVEL_CHOICES)}"
             ) from None
-        if value not in THRESHOLD_LEVEL_CHOICES:
-            raise argparse.ArgumentTypeError(f"levels must be in {{3, 5, 7}}, got {value}")
+        if value not in LEVEL_CHOICES:
+            raise argparse.ArgumentTypeError(
+                f"levels must be in {set(LEVEL_CHOICES)}, got {value}"
+            )
         levels.append(value)
-    if not levels:
-        raise argparse.ArgumentTypeError("empty level list")
     return levels
 
 
@@ -73,7 +53,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="wavequant",
         description=(
@@ -83,21 +63,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "inputs", nargs="+", metavar="IMAGE", help="input binary PGM/PPM files"
+        "inputs", nargs="+", type=Path, metavar="IMAGE", help="input binary PGM/PPM files"
     )
     parser.add_argument(
         "--wavelets",
         type=_wavelet_list,
-        default=list(ALL_WAVELETS),
+        default=list(SUPPORTED_WAVELETS),
         metavar="NAMES",
         help=f"comma-separated wavelets (default: all of {', '.join(SUPPORTED_WAVELETS)})",
     )
     parser.add_argument(
         "--levels",
         type=_level_list,
-        default=list(DEFAULT_LEVELS),
+        default=list(LEVEL_CHOICES),
         metavar="LIST",
-        help="comma-separated threshold-level counts from {3, 5, 7} (default: 3,5,7)",
+        help=f"comma-separated threshold-level counts from {set(LEVEL_CHOICES)} (default: all)",
     )
     parser.add_argument(
         "--depth",
@@ -107,50 +87,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--report",
+        type=Path,
         default="report.csv",
         metavar="CSV",
         help="output CSV report path (default: report.csv)",
     )
     parser.add_argument(
         "--plot",
+        type=Path,
         metavar="DAT",
-        default=None,
         help="optional PSNR-vs-levels plot data file (single input image only)",
     )
     parser.add_argument(
         "--emit-images",
+        type=Path,
         metavar="DIR",
-        default=None,
         help="optional directory for reconstructed PPMs",
     )
-    return parser
-
-
-def parse_args(argv: Sequence[str]) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    return CliConfig(
-        inputs=[Path(p) for p in ns.inputs],
-        report_path=Path(ns.report),
-        wavelets=list(ns.wavelets),
-        levels=list(ns.levels),
-        depth=ns.depth,
-        plot_path=Path(ns.plot) if ns.plot else None,
-        emit_images=Path(ns.emit_images) if ns.emit_images else None,
-    )
+    return parser.parse_args(argv)
 
 
 def write_report(records: Sequence[MetricsRecord], path: Path) -> None:
     """CSV report: image,wavelet,levels,psnr_db,size_bytes (PSNR to 2 decimals)."""
     if not records:
         raise ValueError("no records to report")
-    lines = ["image,wavelet,levels,psnr_db,size_bytes"]
-    for rec in records:
-        lines.append(
-            f"{rec.image_id},{rec.wavelet},{rec.levels},"
-            f"{rec.psnr_db:.2f},{rec.size_bytes}"
-        )
     try:
-        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["image", "wavelet", "levels", "psnr_db", "size_bytes"])
+            for rec in records:
+                writer.writerow(
+                    [rec.image_id, rec.wavelet, rec.levels, f"{rec.psnr_db:.2f}", rec.size_bytes]
+                )
     except OSError as err:
         raise OSError(f"cannot write report {path}: {err}") from err
 
@@ -168,12 +136,11 @@ def write_plot_data(records: Sequence[MetricsRecord], path: Path) -> None:
     levels: list[int] = []
     table: dict[tuple[str, int], float] = {}
     for rec in records:
-        name = str(rec.wavelet)
-        if name not in wavelets:
-            wavelets.append(name)
+        if rec.wavelet not in wavelets:
+            wavelets.append(rec.wavelet)
         if rec.levels not in levels:
             levels.append(rec.levels)
-        table[(name, rec.levels)] = rec.psnr_db
+        table[(rec.wavelet, rec.levels)] = rec.psnr_db
     levels.sort()
     missing = [
         f"{name}/{lvl}" for name in wavelets for lvl in levels if (name, lvl) not in table
@@ -189,16 +156,16 @@ def write_plot_data(records: Sequence[MetricsRecord], path: Path) -> None:
         raise OSError(f"cannot write plot data {path}: {err}") from err
 
 
-def _run(cfg: CliConfig) -> None:
-    emit_dir = cfg.emit_images
+def _run(args: argparse.Namespace) -> None:
+    emit_dir = args.emit_images
     if emit_dir is not None:
         emit_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.plot_path is not None and len(cfg.inputs) != 1:
+    if args.plot is not None and len(args.inputs) != 1:
         raise ValueError(
-            f"--plot expects exactly one input image, got {len(cfg.inputs)}"
+            f"--plot expects exactly one input image, got {len(args.inputs)}"
         )
     records: list[MetricsRecord] = []
-    for input_path in cfg.inputs:
+    for input_path in args.inputs:
         try:
             img = read_image(input_path.read_bytes())
         except OSError as err:
@@ -215,22 +182,26 @@ def _run(cfg: CliConfig) -> None:
             run_experiment(
                 img,
                 stem,
-                cfg.wavelets,
-                cfg.levels,
-                cfg.depth,
+                args.wavelets,
+                args.levels,
+                args.depth,
                 on_reconstruction=emit if emit_dir is not None else None,
             )
         )
-    write_report(records, cfg.report_path)
-    if cfg.plot_path is not None:
-        write_plot_data(records, cfg.plot_path)
+    write_report(records, args.report)
+    if args.plot is not None:
+        write_plot_data(records, args.plot)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        _run(cfg)
+        _run(args)
     except Exception as err:
         print(f"wavequant: error: {err}", file=sys.stderr)
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

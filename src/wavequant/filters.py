@@ -2,66 +2,18 @@
 
 Scaling (low-pass) coefficients are embedded as literal float64 tables,
 normalized to sum(h) = sqrt(2) and unit energy.  High-pass filters are
-derived by the quadrature-mirror rule, synthesis filters by time reversal.
-The numerical properties (orthonormality, double-shift orthogonality,
-vanishing moments of the high-pass) are certified by the test suite rather
-than re-checked at import; only the integer length bookkeeping is asserted
-at load time.
+derived by the quadrature-mirror rule.  A wavelet is named by its label
+("db2" .. "coif5"), which get_filter resolves to its bank.  The numerical
+properties (orthonormality, double-shift orthogonality, vanishing moments
+of the high-pass) and the tap counts are certified by the test suite rather
+than re-checked at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class WaveletFamily(Enum):
-    DAUBECHIES = "db"
-    COIFLET = "coif"
-
-
-_VALID_ORDERS = {
-    WaveletFamily.DAUBECHIES: (2, 4, 6, 8),
-    WaveletFamily.COIFLET: (1, 2, 3, 4, 5),
-}
-
-
-@dataclass(frozen=True)
-class WaveletName:
-    """A supported wavelet identity: family plus order (e.g. Daubechies 4)."""
-
-    family: WaveletFamily
-    order: int
-
-    def __post_init__(self) -> None:
-        valid = _VALID_ORDERS[self.family]
-        if self.order not in valid:
-            raise ValueError(
-                f"unsupported {self.family.name.lower()} order {self.order}; "
-                f"valid orders are {valid}"
-            )
-
-    @property
-    def label(self) -> str:
-        return f"{self.family.value}{self.order}"
-
-    def __str__(self) -> str:
-        return self.label
-
-    @classmethod
-    def parse(cls, text: str) -> "WaveletName":
-        name = text.strip().lower()
-        for family in WaveletFamily:
-            prefix = family.value
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
-                order = int(name[len(prefix):])
-                if order in _VALID_ORDERS[family]:
-                    return cls(family, order)
-        raise ValueError(
-            f"unsupported wavelet {text!r}; supported: {', '.join(SUPPORTED_WAVELETS)}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +50,6 @@ def qmf_highpass(lowpass) -> np.ndarray:
         raise ValueError(f"low-pass filter length must be even and > 0, got {h.size}")
     signs = np.where(np.arange(h.size) % 2 == 0, 1.0, -1.0)
     return signs * h[::-1]
-
-
-def synthesis_pair(fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesis filters of an orthogonal bank: the time-reversed analysis pair."""
-    return fb.lowpass[::-1].copy(), fb.highpass[::-1].copy()
 
 
 # Scaling filters, full float64 precision.  Daubechies from spectral
@@ -262,42 +209,25 @@ _LOWPASS: dict[str, tuple[float, ...]] = {
 }
 
 
-def _build_registry() -> dict[str, FilterBank]:
-    banks = {}
-    for family in WaveletFamily:
-        for order in _VALID_ORDERS[family]:
-            wname = WaveletName(family, order)
-            taps = np.array(_LOWPASS[wname.label], dtype=np.float64)
-            if family is WaveletFamily.DAUBECHIES:
-                expected_len, moments = 2 * order, order
-            else:
-                expected_len, moments = 6 * order, 2 * order
-            assert taps.size == expected_len, wname.label
-            banks[wname.label] = FilterBank(
-                name=wname.label,
-                lowpass=taps,
-                highpass=qmf_highpass(taps),
-                vanishing_moments=moments,
-            )
-    return banks
-
-
-_REGISTRY = _build_registry()
+_REGISTRY: dict[str, FilterBank] = {
+    name: FilterBank(
+        name=name,
+        lowpass=taps,
+        highpass=qmf_highpass(taps),
+        # dbK has 2K taps and K vanishing moments, coifK 6K taps and 2K moments
+        vanishing_moments=len(taps) // 2 if name.startswith("db") else len(taps) // 3,
+    )
+    for name, taps in _LOWPASS.items()
+}
 
 SUPPORTED_WAVELETS: tuple[str, ...] = tuple(_REGISTRY)
 
-ALL_WAVELETS: tuple[WaveletName, ...] = tuple(
-    WaveletName.parse(name) for name in SUPPORTED_WAVELETS
-)
 
-
-def get_filter(name: WaveletName | str) -> FilterBank:
-    """Look up a filter bank by WaveletName or by label such as "db2"."""
-    if isinstance(name, WaveletName):
-        return _REGISTRY[name.label]
-    name = str(name).strip().lower()
-    if name not in _REGISTRY:
+def get_filter(name: str) -> FilterBank:
+    """Look up a filter bank by label such as "db2"; case and outer spaces are ignored."""
+    label = name.strip().lower()
+    if label not in _REGISTRY:
         raise ValueError(
-            f"unsupported wavelet {name!r}; supported: {', '.join(SUPPORTED_WAVELETS)}"
+            f"unsupported wavelet {name.strip()!r}; supported: {', '.join(SUPPORTED_WAVELETS)}"
         )
-    return _REGISTRY[name]
+    return _REGISTRY[label]

@@ -1,4 +1,4 @@
-"""8-bit image planes, binary PGM/PPM codec, channel plumbing, size metric."""
+"""8-bit RGB images, binary PGM/PPM codec, size metric."""
 
 from __future__ import annotations
 
@@ -13,28 +13,25 @@ class NetpbmError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ImagePlane:
-    """One 8-bit channel, stored as a read-only (height, width) uint8 array."""
+class RgbImage:
+    """An 8-bit RGB image: one read-only (height, width, 3) uint8 array.
+
+    The array is not copied; a read-only view of it is stored.
+    """
 
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.pixels)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"plane must be a nonempty 2-D array, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"plane values must be integers, got dtype {arr.dtype}")
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError(
-                    f"plane values must lie in [0, 255], got range "
-                    f"[{arr.min()}, {arr.max()}]"
-                )
-            arr = arr.astype(np.uint8)
-        else:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+            raise ValueError(f"pixels must be uint8, got dtype {arr.dtype}")
+        if arr.ndim != 3 or arr.shape[2] != 3 or arr.size == 0:
+            raise ValueError(
+                f"pixels must be a nonempty (H, W, 3) array, got shape {arr.shape}"
+            )
+        view = arr.view()
+        view.setflags(write=False)
+        object.__setattr__(self, "pixels", view)
 
     @property
     def width(self) -> int:
@@ -44,60 +41,12 @@ class ImagePlane:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    def as_float(self) -> np.ndarray:
-        return self.pixels.astype(np.float64)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ImagePlane):
+        if not isinstance(other, RgbImage):
             return NotImplemented
         return self.pixels.shape == other.pixels.shape and bool(
             np.array_equal(self.pixels, other.pixels)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class RgbImage:
-    """Three equally sized planes (red, green, blue)."""
-
-    r: ImagePlane
-    g: ImagePlane
-    b: ImagePlane
-
-    def __post_init__(self) -> None:
-        shape = self.r.pixels.shape
-        for name in ("g", "b"):
-            plane = getattr(self, name)
-            if plane.pixels.shape != shape:
-                raise ValueError(
-                    f"{name} plane is {plane.width}x{plane.height}, "
-                    f"does not match r plane {self.width}x{self.height}"
-                )
-
-    @property
-    def width(self) -> int:
-        return self.r.width
-
-    @property
-    def height(self) -> int:
-        return self.r.height
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RgbImage):
-            return NotImplemented
-        return self.r == other.r and self.g == other.g and self.b == other.b
-
-
-def split_channels(img: RgbImage) -> tuple[ImagePlane, ImagePlane, ImagePlane]:
-    return img.r, img.g, img.b
-
-
-def merge_channels(r: ImagePlane, g: ImagePlane, b: ImagePlane) -> RgbImage:
-    return RgbImage(r, g, b)
-
-
-def _interleaved(img: RgbImage) -> bytes:
-    """Row-major interleaved R,G,B byte stream."""
-    return np.stack([img.r.pixels, img.g.pixels, img.b.pixels], axis=-1).tobytes()
 
 
 class _HeaderScanner:
@@ -166,20 +115,15 @@ def read_image(data: bytes) -> RgbImage:
         raise NetpbmError(
             f"truncated payload: expected {expected} bytes, got {len(raw)}"
         )
-    pixels = np.frombuffer(raw[:expected], dtype=np.uint8)
-    if channels == 1:
-        plane = ImagePlane(pixels.reshape(height, width))
-        return RgbImage(plane, plane, plane)
-    rgb = pixels.reshape(height, width, 3)
-    return RgbImage(
-        ImagePlane(rgb[:, :, 0]), ImagePlane(rgb[:, :, 1]), ImagePlane(rgb[:, :, 2])
-    )
+    pixels = np.frombuffer(raw[:expected], dtype=np.uint8).reshape(height, width, channels)
+    # a PGM plane (channels == 1) becomes R, G and B as views, without copying
+    return RgbImage(np.broadcast_to(pixels, (height, width, 3)))
 
 
 def write_image(img: RgbImage) -> bytes:
     """Encode as binary PPM (P6, maxval 255); inverse of read_image."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + _interleaved(img)
+    return header + img.pixels.tobytes()
 
 
 def encoded_size(img: RgbImage) -> int:
@@ -188,4 +132,4 @@ def encoded_size(img: RgbImage) -> int:
     A deterministic codec-independent size proxy for comparing how
     compressible reconstructions are.
     """
-    return len(zlib.compress(_interleaved(img)))
+    return len(zlib.compress(img.pixels.tobytes()))

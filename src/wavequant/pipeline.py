@@ -13,35 +13,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filters import WaveletName, get_filter
-from .image import ImagePlane, RgbImage, encoded_size, merge_channels, split_channels
+from .filters import get_filter
+from .image import RgbImage, encoded_size
 from .quantize import threshold_subband
 from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 
 PEAK = 255.0
 
-THRESHOLD_LEVEL_CHOICES = (3, 5, 7)
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    wavelet: WaveletName
-    depth: int = 1
-    levels: int = 3
-
-    def __post_init__(self) -> None:
-        if self.levels not in THRESHOLD_LEVEL_CHOICES:
-            raise ValueError(
-                f"levels must be in {set(THRESHOLD_LEVEL_CHOICES)}, got {self.levels}"
-            )
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-
 
 @dataclass(frozen=True)
 class MetricsRecord:
     image_id: str
-    wavelet: WaveletName
+    wavelet: str
     levels: int
     psnr_db: float
     size_bytes: int
@@ -53,17 +36,17 @@ def _to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
 
 
-def process_plane(plane: ImagePlane, cfg: PipelineConfig) -> ImagePlane:
-    """Transform, threshold all detail sub-bands, reconstruct one channel."""
-    fb = get_filter(cfg.wavelet)
-    dec = dwt2d(plane.as_float(), fb, cfg.depth)
+def process_plane(plane: np.ndarray, wavelet: str, depth: int, levels: int) -> np.ndarray:
+    """Transform, threshold all detail sub-bands, reconstruct one 2-D uint8 channel."""
+    fb = get_filter(wavelet)
+    dec = dwt2d(plane, fb, depth)
     thresholded = Decomposition(
         approx=dec.approx,
         levels=tuple(
             SubbandTriple(
-                h=threshold_subband(t.h, cfg.levels),
-                v=threshold_subband(t.v, cfg.levels),
-                d=threshold_subband(t.d, cfg.levels),
+                h=threshold_subband(t.h, levels),
+                v=threshold_subband(t.v, levels),
+                d=threshold_subband(t.d, levels),
             )
             for t in dec.levels
         ),
@@ -71,15 +54,13 @@ def process_plane(plane: ImagePlane, cfg: PipelineConfig) -> ImagePlane:
         source_width=dec.source_width,
         source_height=dec.source_height,
     )
-    return ImagePlane(_to_uint8(idwt2d(thresholded, fb)))
+    return _to_uint8(idwt2d(thresholded, fb))
 
 
-def process_image(img: RgbImage, cfg: PipelineConfig) -> RgbImage:
+def process_image(img: RgbImage, wavelet: str, depth: int, levels: int) -> RgbImage:
     """process_plane applied independently to R, G and B."""
-    r, g, b = split_channels(img)
-    return merge_channels(
-        process_plane(r, cfg), process_plane(g, cfg), process_plane(b, cfg)
-    )
+    planes = [process_plane(img.pixels[:, :, c], wavelet, depth, levels) for c in range(3)]
+    return RgbImage(np.stack(planes, axis=-1))
 
 
 def psnr(orig: RgbImage, recon: RgbImage) -> float:
@@ -92,11 +73,9 @@ def psnr(orig: RgbImage, recon: RgbImage) -> float:
             f"image dimensions differ: {orig.width}x{orig.height} vs "
             f"{recon.width}x{recon.height}"
         )
-    sq = 0.0
-    for a, b in zip(split_channels(orig), split_channels(recon)):
-        diff = a.as_float() - b.as_float()
-        sq += float(np.sum(diff * diff))
-    mse = sq / (3.0 * orig.width * orig.height)
+    # exact integer sum of squares; one int64 temporary the size of the image
+    diff = np.subtract(orig.pixels, recon.pixels, dtype=np.int64)
+    mse = int(np.vdot(diff, diff)) / (3.0 * orig.width * orig.height)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)
@@ -105,7 +84,7 @@ def psnr(orig: RgbImage, recon: RgbImage) -> float:
 def run_experiment(
     img: RgbImage,
     image_id: str,
-    wavelets: Sequence[WaveletName],
+    wavelets: Sequence[str],
     levels_list: Sequence[int],
     depth: int,
     on_reconstruction: Callable[[MetricsRecord, RgbImage], None] | None = None,
@@ -121,8 +100,7 @@ def run_experiment(
     for wavelet in wavelets:
         for levels in levels_list:
             try:
-                cfg = PipelineConfig(wavelet=wavelet, depth=depth, levels=levels)
-                recon = process_image(img, cfg)
+                recon = process_image(img, wavelet, depth, levels)
                 record = MetricsRecord(
                     image_id=image_id,
                     wavelet=wavelet,

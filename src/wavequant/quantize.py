@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LEVEL_CHOICES = (3, 5, 7)
+
 
 @dataclass(frozen=True)
 class CoeffStats:
@@ -108,8 +110,8 @@ def threshold_cuts(coeffs, levels: int) -> list[float]:
 
     Returned sorted ascending; nested across levels for fixed input.
     """
-    if levels not in (3, 5, 7):
-        raise ValueError(f"levels must be in {{3, 5, 7}}, got {levels}")
+    if levels not in LEVEL_CHOICES:
+        raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {levels}")
     arr = _as_coeff_array(coeffs)
     stats = coeff_stats(arr)
     if stats.std == 0.0:

@@ -94,30 +94,6 @@ def _synthesize_rows(ca: np.ndarray, cd: np.ndarray, h: np.ndarray, g: np.ndarra
     return out
 
 
-def dwt1d(signal, fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
-    """Single-level 1-D analysis; returns (approx, detail), each length N/2."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"signal must be 1-D, got shape {x.shape}")
-    if x.size == 0 or x.size % 2 != 0:
-        raise ValueError(f"signal length must be even and >= 2, got {x.size}")
-    ca, cd = _analyze_rows(x[None, :], fb.lowpass, fb.highpass)
-    return ca[0], cd[0]
-
-
-def idwt1d(approx, detail, fb: FilterBank) -> np.ndarray:
-    """Exact inverse of dwt1d."""
-    ca = np.asarray(approx, dtype=np.float64)
-    cd = np.asarray(detail, dtype=np.float64)
-    if ca.ndim != 1 or cd.ndim != 1 or ca.size != cd.size:
-        raise ValueError(
-            f"approx and detail must be 1-D with equal length, got {ca.shape} and {cd.shape}"
-        )
-    if ca.size == 0:
-        raise ValueError("approx and detail must be nonempty")
-    return _synthesize_rows(ca[None, :], cd[None, :], fb.lowpass, fb.highpass)[0]
-
-
 def _check_divisibility(height: int, width: int, depth: int) -> None:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavequant import ImagePlane, RgbImage, merge_channels
+from wavequant import RgbImage
 
 
 def natural_plane(height, width, seed, detail=1.0):
@@ -34,18 +34,12 @@ def natural_image(size, seed, detail=1.0):
     planes = []
     for k in range(3):
         tint = natural_plane(size, size, seed * 10 + k, detail * 0.5).astype(np.float64)
-        mixed = np.clip(0.7 * base + 0.3 * tint, 0, 255).astype(np.uint8)
-        planes.append(ImagePlane(mixed))
-    return merge_channels(*planes)
+        planes.append(np.clip(0.7 * base + 0.3 * tint, 0, 255).astype(np.uint8))
+    return RgbImage(np.stack(planes, axis=-1))
 
 
 def solid_image(size, rgb):
-    r, g, b = rgb
-    return RgbImage(
-        ImagePlane(np.full((size, size), r, dtype=np.uint8)),
-        ImagePlane(np.full((size, size), g, dtype=np.uint8)),
-        ImagePlane(np.full((size, size), b, dtype=np.uint8)),
-    )
+    return RgbImage(np.full((size, size, 3), rgb, dtype=np.uint8))
 
 
 @pytest.fixture(scope="session")

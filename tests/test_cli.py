@@ -1,17 +1,21 @@
 """CLI argument handling, report/plot formats, end-to-end runs, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wavequant import MetricsRecord, WaveletName, read_image, write_image
+import wavequant
+from wavequant import MetricsRecord, RgbImage, read_image, write_image
 from wavequant.cli import main, parse_args, write_plot_data, write_report
 from conftest import natural_image
 
-DB2 = WaveletName.parse("db2")
-
 
 def record(image="photo", wavelet="db2", levels=3, psnr=34.45, size=37069):
-    return MetricsRecord(image, WaveletName.parse(wavelet), levels, psnr, size)
+    return MetricsRecord(image, wavelet, levels, psnr, size)
 
 
 @pytest.fixture()
@@ -28,23 +32,25 @@ def corpus(tmp_path):
 # --- parse_args ---
 
 def test_defaults(corpus):
-    cfg = parse_args([str(corpus[0])])
-    assert [str(w) for w in cfg.wavelets] == [
+    args = parse_args([str(corpus[0])])
+    assert args.inputs == [corpus[0]]
+    assert args.wavelets == [
         "db2", "db4", "db6", "db8", "coif1", "coif2", "coif3", "coif4", "coif5"
     ]
-    assert cfg.levels == [3, 5, 7]
-    assert cfg.depth == 1
-    assert cfg.report_path.name == "report.csv"
-    assert cfg.plot_path is None and cfg.emit_images is None
+    assert args.levels == [3, 5, 7]
+    assert args.depth == 1
+    assert args.report == Path("report.csv")
+    assert args.plot is None and args.emit_images is None
 
 
 def test_explicit_grid(corpus):
-    cfg = parse_args(
+    args = parse_args(
         ["--wavelets", "db2,coif5", "--levels", "3", "--report", "r.csv",
          str(corpus[0])]
     )
-    assert [str(w) for w in cfg.wavelets] == ["db2", "coif5"]
-    assert cfg.levels == [3]
+    assert args.wavelets == ["db2", "coif5"]
+    assert args.levels == [3]
+    assert args.report == Path("r.csv")
 
 
 def test_invalid_level_is_usage_error(capsys):
@@ -52,6 +58,16 @@ def test_invalid_level_is_usage_error(capsys):
         parse_args(["--levels", "4", "--report", "r.csv", "x.ppm"])
     assert exc.value.code == 2
     assert "levels must be in {3, 5, 7}" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_main():
+    env = dict(os.environ, PYTHONPATH=str(Path(wavequant.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavequant.cli", "--levels", "4", "x.ppm"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "levels must be in {3, 5, 7}" in proc.stderr
 
 
 def test_invalid_wavelet_lists_supported_names(capsys):
@@ -111,15 +127,19 @@ def test_report_line_count_and_endings(tmp_path):
 def test_report_roundtrips_through_csv(tmp_path):
     import csv
 
-    records = [record(levels=3), record(wavelet="coif4", levels=7, psnr=41.0, size=10)]
+    records = [
+        record(levels=3),
+        record(wavelet="coif4", levels=7, psnr=41.0, size=10),
+        record(image='c,d "e"'),
+    ]
     path = tmp_path / "report.csv"
     write_report(records, path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
+    assert len(rows) == 3
     for rec, row in zip(records, rows):
         assert row["image"] == rec.image_id
-        assert row["wavelet"] == str(rec.wavelet)
+        assert row["wavelet"] == rec.wavelet
         assert int(row["levels"]) == rec.levels
         assert float(row["psnr_db"]) == pytest.approx(rec.psnr_db, abs=0.005)
         assert int(row["size_bytes"]) == rec.size_bytes
@@ -165,7 +185,7 @@ def test_plot_data_single_wavelet_grid(tmp_path):
 
 
 def test_plot_data_missing_combination(tmp_path):
-    records = [r for r in full_grid() if not (str(r.wavelet) == "coif2" and r.levels == 5)]
+    records = [r for r in full_grid() if not (r.wavelet == "coif2" and r.levels == 5)]
     with pytest.raises(ValueError, match="coif2/5"):
         write_plot_data(records, tmp_path / "plot.dat")
 
@@ -182,7 +202,7 @@ def test_main_writes_report_and_plot(tmp_path, corpus, capsys):
     report = tmp_path / "out.csv"
     plot = tmp_path / "out.dat"
     rc = main([
-        "--wavelets", "db2,coif1", "--levels", "3,5",
+        "--wavelets", " DB2,Coif1", "--levels", "3,5",
         "--report", str(report), "--plot", str(plot), str(corpus[0]),
     ])
     assert rc == 0
@@ -190,6 +210,7 @@ def test_main_writes_report_and_plot(tmp_path, corpus, capsys):
     assert lines[0] == "image,wavelet,levels,psnr_db,size_bytes"
     assert len(lines) == 5
     assert all(line.startswith("img0,") for line in lines[1:])
+    assert [line.split(",")[1] for line in lines[1:]] == ["db2", "db2", "coif1", "coif1"]
     assert len(plot.read_text().splitlines()) == 3  # header + levels 3 and 5
 
 
@@ -229,11 +250,9 @@ def test_main_malformed_image_fails(tmp_path, capsys):
 
 
 def test_main_indivisible_image_fails_with_context(tmp_path, capsys):
-    from wavequant import ImagePlane, RgbImage
-
-    arr = np.zeros((6, 6), dtype=np.uint8)  # 6x6: not divisible by 2^2
+    arr = np.zeros((6, 6, 3), dtype=np.uint8)  # 6x6: not divisible by 2^2
     odd = tmp_path / "odd.ppm"
-    odd.write_bytes(write_image(RgbImage(*(ImagePlane(arr),) * 3)))
+    odd.write_bytes(write_image(RgbImage(arr)))
     rc = main(["--depth", "2", "--report", str(tmp_path / "r.csv"), str(odd)])
     assert rc == 1
     err = capsys.readouterr().err

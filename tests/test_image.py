@@ -1,24 +1,14 @@
-"""PGM/PPM codec, channel plumbing, and the compressed-size metric."""
+"""RGB images, the PGM/PPM codec, and the compressed-size metric."""
 
 import numpy as np
 import pytest
 
-from wavequant import (
-    ImagePlane,
-    NetpbmError,
-    RgbImage,
-    encoded_size,
-    merge_channels,
-    read_image,
-    split_channels,
-    write_image,
-)
+from wavequant.image import NetpbmError, RgbImage, encoded_size, read_image, write_image
 
 
 def random_image(height, width, seed):
     rng = np.random.default_rng(seed)
-    return RgbImage(*(ImagePlane(rng.integers(0, 256, (height, width), dtype=np.uint8))
-                      for _ in range(3)))
+    return RgbImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
 
 
 # --- decoding ---
@@ -26,14 +16,17 @@ def random_image(height, width, seed):
 def test_read_minimal_p6():
     img = read_image(b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 255, 0]))
     assert (img.width, img.height) == (2, 1)
-    assert img.r.pixels[0, 0] == 255 and img.g.pixels[0, 0] == 0
-    assert img.g.pixels[0, 1] == 255 and img.b.pixels[0, 1] == 0
+    assert img.pixels[0, 0, 0] == 255 and img.pixels[0, 0, 1] == 0
+    assert img.pixels[0, 1, 1] == 255 and img.pixels[0, 1, 2] == 0
+    with pytest.raises(ValueError):
+        img.pixels[0, 0, 0] = 1
 
 
 def test_read_p5_promotes_to_rgb():
     img = read_image(b"P5\n1 1\n255\n" + bytes([7]))
-    assert img.r == img.g == img.b
-    assert img.r.pixels[0, 0] == 7
+    assert img.pixels.tolist() == [[[7, 7, 7]]]
+    with pytest.raises(ValueError):
+        img.pixels[0, 0, 0] = 1
 
 
 def test_read_skips_header_comments():
@@ -70,7 +63,7 @@ def test_read_rejects_truncated_payload():
 # --- encoding ---
 
 def test_write_minimal_black_pixel():
-    img = RgbImage(*(ImagePlane(np.zeros((1, 1), dtype=np.uint8)) for _ in range(3)))
+    img = RgbImage(np.zeros((1, 1, 3), dtype=np.uint8))
     assert write_image(img) == b"P6\n1 1\n255\n" + bytes([0, 0, 0])
 
 
@@ -88,54 +81,48 @@ def test_roundtrip_larger_image():
 # --- channels ---
 
 def test_split_solid_red():
-    red = RgbImage(
-        ImagePlane(np.full((3, 3), 255, dtype=np.uint8)),
-        ImagePlane(np.zeros((3, 3), dtype=np.uint8)),
-        ImagePlane(np.zeros((3, 3), dtype=np.uint8)),
-    )
-    r, g, b = split_channels(red)
-    assert np.all(r.pixels == 255) and np.all(g.pixels == 0) and np.all(b.pixels == 0)
+    red = RgbImage(np.full((3, 3, 3), (255, 0, 0), dtype=np.uint8))
+    r, g, b = (red.pixels[:, :, c] for c in range(3))
+    assert np.all(r == 255) and np.all(g == 0) and np.all(b == 0)
 
 
 def test_split_merge_inverse():
     img = random_image(4, 6, 3)
-    assert merge_channels(*split_channels(img)) == img
-    r, g, b = split_channels(img)
-    assert split_channels(merge_channels(r, g, b)) == (r, g, b)
+    planes = [img.pixels[:, :, c] for c in range(3)]
+    assert RgbImage(np.stack(planes, axis=-1)) == img
 
 
 def test_grayscale_promotion_gives_identical_planes():
     payload = bytes(range(16))
     img = read_image(b"P5\n4 4\n255\n" + payload)
-    r, g, b = split_channels(img)
-    assert r == g == b
+    r, g, b = (img.pixels[:, :, c] for c in range(3))
+    assert np.array_equal(r, g) and np.array_equal(g, b)
+    assert r.tolist() == np.arange(16).reshape(4, 4).tolist()
 
 
 def test_merge_rejects_mismatched_planes():
-    p22 = ImagePlane(np.zeros((2, 2), dtype=np.uint8))
-    p23 = ImagePlane(np.zeros((2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError, match="g plane"):
-        merge_channels(p22, p23, p22)
+    for shape in ((2, 2, 2), (2, 2), (2, 2, 3, 1), (0, 2, 3)):
+        with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
+            RgbImage(np.zeros(shape, dtype=np.uint8))
 
 
 def test_plane_rejects_out_of_range_values():
-    with pytest.raises(ValueError, match="255"):
-        ImagePlane(np.array([[0, 300]]))
+    with pytest.raises(ValueError, match="uint8"):
+        RgbImage(np.array([[[0, 300, 0]]]))
+    with pytest.raises(ValueError, match="uint8"):
+        RgbImage(np.zeros((1, 1, 3)))
 
 
 def test_merge_triple_example():
-    img = merge_channels(
-        ImagePlane(np.array([[10]], dtype=np.uint8)),
-        ImagePlane(np.array([[20]], dtype=np.uint8)),
-        ImagePlane(np.array([[30]], dtype=np.uint8)),
-    )
-    assert (img.r.pixels[0, 0], img.g.pixels[0, 0], img.b.pixels[0, 0]) == (10, 20, 30)
+    img = RgbImage(np.array([[[10, 20, 30]]], dtype=np.uint8))
+    assert img.pixels[0, 0].tolist() == [10, 20, 30]
+    assert (img.width, img.height) == (1, 1)
 
 
 # --- size metric ---
 
 def test_encoded_size_constant_image_compresses_strongly():
-    img = RgbImage(*(ImagePlane(np.zeros((64, 64), dtype=np.uint8)) for _ in range(3)))
+    img = RgbImage(np.zeros((64, 64, 3), dtype=np.uint8))
     assert encoded_size(img) < 500  # raw stream would be 12288 bytes
 
 

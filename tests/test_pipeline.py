@@ -5,29 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from wavequant import (
-    ALL_WAVELETS,
-    ImagePlane,
-    PipelineConfig,
-    RgbImage,
-    WaveletName,
-    process_image,
-    process_plane,
-    psnr,
-    run_experiment,
-)
+from wavequant.filters import SUPPORTED_WAVELETS
+from wavequant.image import RgbImage
+from wavequant.pipeline import process_image, process_plane, psnr, run_experiment
 from conftest import solid_image
 
-DB2 = WaveletName.parse("db2")
+DB2 = "db2"
 
 
-# --- config validation ---
+# --- argument validation ---
 
 def test_config_rejects_bad_levels_and_depth():
+    plane = np.zeros((16, 16), dtype=np.uint8)
     with pytest.raises(ValueError, match="levels"):
-        PipelineConfig(wavelet=DB2, levels=4)
+        process_plane(plane, DB2, 1, 4)
     with pytest.raises(ValueError, match="depth"):
-        PipelineConfig(wavelet=DB2, depth=0)
+        process_plane(plane, DB2, 0, 3)
+    with pytest.raises(ValueError, match="unsupported wavelet"):
+        process_plane(plane, "db3", 1, 3)
 
 
 # --- process_plane / process_image ---
@@ -35,45 +30,45 @@ def test_config_rejects_bad_levels_and_depth():
 @pytest.mark.parametrize("value", (0, 100, 255))
 @pytest.mark.parametrize("levels", (3, 5, 7))
 def test_constant_plane_is_a_fixpoint(value, levels):
-    plane = ImagePlane(np.full((16, 16), value, dtype=np.uint8))
-    cfg = PipelineConfig(wavelet=DB2, depth=2, levels=levels)
-    assert process_plane(plane, cfg) == plane
+    plane = np.full((16, 16), value, dtype=np.uint8)
+    out = process_plane(plane, DB2, 2, levels)
+    assert out.dtype == np.uint8 and np.array_equal(out, plane)
 
 
-@pytest.mark.parametrize("wavelet", ALL_WAVELETS)
+@pytest.mark.parametrize(
+    "wavelet", SUPPORTED_WAVELETS, ids=[f"wavelet{i}" for i in range(len(SUPPORTED_WAVELETS))]
+)
 def test_solid_image_unchanged_for_every_wavelet(wavelet):
     img = solid_image(16, (12, 200, 77))
-    cfg = PipelineConfig(wavelet=wavelet, depth=1, levels=5)
-    assert process_image(img, cfg) == img
+    assert process_image(img, wavelet, 1, 5) == img
 
 
 def test_divisibility_error_propagates():
-    plane = ImagePlane(np.zeros((6, 6), dtype=np.uint8))
+    plane = np.zeros((6, 6), dtype=np.uint8)
     with pytest.raises(ValueError, match="divisible"):
-        process_plane(plane, PipelineConfig(wavelet=DB2, depth=2))
+        process_plane(plane, DB2, 2, 3)
 
 
 def test_grayscale_promoted_image_keeps_channels_identical(small_natural_image):
-    gray = RgbImage(small_natural_image.r, small_natural_image.r, small_natural_image.r)
-    out = process_image(gray, PipelineConfig(wavelet=WaveletName.parse("coif2"), levels=7))
-    assert out.r == out.g == out.b
+    gray = RgbImage(np.broadcast_to(small_natural_image.pixels[:, :, :1], (64, 64, 3)))
+    out = process_image(gray, "coif2", 1, 7).pixels
+    assert np.array_equal(out[:, :, 0], out[:, :, 1])
+    assert np.array_equal(out[:, :, 1], out[:, :, 2])
 
 
 def test_natural_crop_regression_anchor(small_natural_image):
     """Frozen output of the full pipeline on the 64x64 corpus image."""
-    cfg = PipelineConfig(wavelet=DB2, depth=1, levels=3)
-    out = process_image(small_natural_image, cfg)
+    out = process_image(small_natural_image, DB2, 1, 3)
     value = psnr(small_natural_image, out)
     assert math.isfinite(value) and value > 20.0
     assert value == pytest.approx(34.02414317684715, abs=1e-9)
-    plane = process_plane(small_natural_image.r, cfg)
-    assert int(np.sum(plane.pixels.astype(np.int64))) == 434869
+    plane = process_plane(small_natural_image.pixels[:, :, 0], DB2, 1, 3)
+    assert int(np.sum(plane.astype(np.int64))) == 434869
 
 
 def test_pipeline_is_deterministic(small_natural_image):
-    cfg = PipelineConfig(wavelet=WaveletName.parse("coif5"), depth=1, levels=7)
-    assert process_image(small_natural_image, cfg) == process_image(
-        small_natural_image, cfg
+    assert process_image(small_natural_image, "coif5", 1, 7) == process_image(
+        small_natural_image, "coif5", 1, 7
     )
 
 
@@ -90,8 +85,7 @@ def test_psnr_full_difference_is_zero():
 
 
 def test_psnr_symmetry(small_natural_image):
-    cfg = PipelineConfig(wavelet=DB2, levels=3)
-    out = process_image(small_natural_image, cfg)
+    out = process_image(small_natural_image, DB2, 1, 3)
     assert psnr(small_natural_image, out) == psnr(out, small_natural_image)
 
 
@@ -104,11 +98,11 @@ def test_psnr_rejects_dimension_mismatch():
 
 def test_run_experiment_grid_shape_and_order(small_natural_image):
     records = run_experiment(
-        small_natural_image, "img", list(ALL_WAVELETS), [3, 5, 7], 1
+        small_natural_image, "img", list(SUPPORTED_WAVELETS), [3, 5, 7], 1
     )
     assert len(records) == 27
-    expected_order = [(str(w), lvl) for w in ALL_WAVELETS for lvl in (3, 5, 7)]
-    assert [(str(r.wavelet), r.levels) for r in records] == expected_order
+    expected_order = [(w, lvl) for w in SUPPORTED_WAVELETS for lvl in (3, 5, 7)]
+    assert [(r.wavelet, r.levels) for r in records] == expected_order
     assert all(r.image_id == "img" for r in records)
     assert all(20.0 < r.psnr_db < 50.0 for r in records)
 
@@ -120,7 +114,7 @@ def test_run_experiment_single_combination(small_natural_image):
 
 
 def test_run_experiment_psnr_improves_with_more_levels(small_natural_image):
-    for wavelet in ALL_WAVELETS:
+    for wavelet in SUPPORTED_WAVELETS:
         records = run_experiment(small_natural_image, "m", [wavelet], [3, 5, 7], 1)
         by_level = {r.levels: r.psnr_db for r in records}
         assert by_level[7] >= by_level[5] - 0.01

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavequant import (
+from wavequant.quantize import (
     apply_partition,
     build_partition,
     coeff_stats,

@@ -6,25 +6,35 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavequant import (
-    Decomposition,
-    SubbandTriple,
-    dwt1d,
-    dwt2d,
-    get_filter,
-    idwt1d,
-    idwt2d,
-)
+from wavequant.filters import get_filter
+from wavequant.transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 from oracle import dense_analysis_matrix
 
 ALL_NAMES = ("db2", "db4", "db6", "db8", "coif1", "coif2", "coif3", "coif4", "coif5")
+SQRT2 = math.sqrt(2)
 
 
-# --- 1-D analysis ---
+# --- 1-D behaviour, read from 2-D planes of two equal rows ---
+#
+# Down a length-2 column of equal values the periodized low-pass sums to
+# sqrt(2) and the high-pass to 0, so the approximation and the vertical
+# band of such a plane hold the 1-D row transform scaled by sqrt(2).
+
+def row_analysis(x, fb):
+    dec = dwt2d(np.vstack([x, x]), fb, 1)
+    return dec.approx[0] / SQRT2, dec.levels[0].v[0] / SQRT2
+
+
+def row_synthesis(ca, cd, fb):
+    zero = np.zeros((1, ca.size))
+    triple = SubbandTriple(zero, SQRT2 * cd[None, :], zero)
+    dec = Decomposition(SQRT2 * ca[None, :], (triple,), 1, 2 * ca.size, 2)
+    return idwt2d(dec, fb)[0]
+
 
 def test_dwt1d_constant_signal():
     fb = get_filter("db4")
-    ca, cd = dwt1d(np.full(8, 3.0), fb)
+    ca, cd = row_analysis(np.full(8, 3.0), fb)
     assert_allclose(ca, math.sqrt(2) * 3.0, atol=1e-12)
     assert_allclose(cd, 0.0, atol=1e-12)
 
@@ -34,7 +44,7 @@ def test_dwt1d_unit_impulse_matches_dense_operator():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     W = dense_analysis_matrix(4, fb.lowpass, fb.highpass)
     expected = W @ x
-    ca, cd = dwt1d(x, fb)
+    ca, cd = row_analysis(x, fb)
     assert_allclose(ca, expected[:2], atol=1e-12)
     assert_allclose(cd, expected[2:], atol=1e-12)
 
@@ -47,7 +57,7 @@ def test_dwt1d_matches_dense_operator(name, n):
     x = rng.uniform(-100, 100, n)
     W = dense_analysis_matrix(n, fb.lowpass, fb.highpass)
     expected = W @ x
-    ca, cd = dwt1d(x, fb)
+    ca, cd = row_analysis(x, fb)
     assert_allclose(ca, expected[: n // 2], atol=1e-10)
     assert_allclose(cd, expected[n // 2:], atol=1e-10)
 
@@ -57,48 +67,62 @@ def test_dwt1d_parseval(name):
     fb = get_filter(name)
     rng = np.random.default_rng(17)
     x = rng.uniform(-1, 1, 32)
-    ca, cd = dwt1d(x, fb)
+    ca, cd = row_analysis(x, fb)
     energy_in = np.sum(x * x)
     energy_out = np.sum(ca * ca) + np.sum(cd * cd)
     assert abs(energy_out - energy_in) <= 1e-10 * energy_in
 
-
-def test_dwt1d_rejects_odd_or_empty():
-    fb = get_filter("db2")
-    with pytest.raises(ValueError, match="even"):
-        dwt1d(np.ones(7), fb)
-    with pytest.raises(ValueError, match="even"):
-        dwt1d(np.array([]), fb)
-
-
-# --- 1-D synthesis ---
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_idwt1d_inverts_dwt1d(name):
     fb = get_filter(name)
     rng = np.random.default_rng(23)
     x = rng.uniform(-50, 50, 16)
-    assert np.max(np.abs(idwt1d(*dwt1d(x, fb), fb) - x)) < 1e-9
+    assert np.max(np.abs(row_synthesis(*row_analysis(x, fb), fb) - x)) < 1e-9
 
 
 def test_idwt1d_zero_in_zero_out():
     fb = get_filter("coif2")
-    assert_allclose(idwt1d(np.zeros(4), np.zeros(4), fb), 0.0, atol=0)
+    assert_allclose(row_synthesis(np.zeros(4), np.zeros(4), fb), 0.0, atol=0)
 
 
 def test_idwt1d_constant_approx():
     fb = get_filter("db6")
     c = 5.0
-    out = idwt1d(np.full(8, math.sqrt(2) * c), np.zeros(8), fb)
+    out = row_synthesis(np.full(8, math.sqrt(2) * c), np.zeros(8), fb)
     assert_allclose(out, c, atol=1e-12)
 
 
-def test_idwt1d_rejects_length_mismatch():
-    fb = get_filter("db2")
-    with pytest.raises(ValueError, match="equal length"):
-        idwt1d(np.ones(4), np.ones(3), fb)
-    with pytest.raises(ValueError, match="nonempty"):
-        idwt1d(np.array([]), np.array([]), fb)
+# --- 2-D dense-operator oracle ---
+
+SHAPES = ((2, 2), (2, 4), (4, 2), (8, 6), (16, 32))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_dwt2d_matches_dense_operator(name, shape):
+    # planes narrower than the filter fold the periodized taps
+    fb = get_filter(name)
+    height, width = shape
+    x = np.random.default_rng(height * width).uniform(-100, 100, shape)
+    w_h = dense_analysis_matrix(height, fb.lowpass, fb.highpass)
+    w_w = dense_analysis_matrix(width, fb.lowpass, fb.highpass)
+    expected = w_h @ x @ w_w.T
+    dec = dwt2d(x, fb, 1)
+    triple = dec.levels[0]
+    top, left = height // 2, width // 2
+    assert_allclose(dec.approx, expected[:top, :left], atol=1e-10)
+    assert_allclose(triple.v, expected[:top, left:], atol=1e-10)
+    assert_allclose(triple.h, expected[top:, :left], atol=1e-10)
+    assert_allclose(triple.d, expected[top:, left:], atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_idwt2d_inverts_dwt2d_on_short_planes(name, shape):
+    fb = get_filter(name)
+    x = np.random.default_rng(shape[0] + shape[1]).uniform(-100, 100, shape)
+    assert np.max(np.abs(idwt2d(dwt2d(x, fb, 1), fb) - x)) < 1e-9
 
 
 # --- 2-D ---
@@ -138,6 +162,8 @@ def test_dwt2d_rejects_indivisible_dimensions():
     fb = get_filter("db2")
     with pytest.raises(ValueError, match="divisible by 2\\^depth"):
         dwt2d(np.zeros((6, 6)), fb, 2)
+    with pytest.raises(ValueError, match="divisible by 2\\^depth"):
+        dwt2d(np.zeros((0, 4)), fb, 1)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
