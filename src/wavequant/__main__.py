@@ -1,0 +1,8 @@
+"""``python -m wavequant``: run the benchmark CLI."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,9 +14,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .filters import SUPPORTED_WAVELETS, get_filter
-from .image import NetpbmError, read_image, write_image
+from .image import RgbImage, read_image, write_image
 from .pipeline import MetricsRecord, run_experiment
 from .quantize import LEVEL_CHOICES
+from .transform import _check_divisibility
 
 
 def _wavelet_list(text: str) -> list[str]:
@@ -156,23 +157,40 @@ def write_plot_data(records: Sequence[MetricsRecord], path: Path) -> None:
         raise OSError(f"cannot write plot data {path}: {err}") from err
 
 
+def _read_input(path: Path, depth: int) -> RgbImage:
+    """Decode one input and check its dimensions against 2^depth."""
+    try:
+        img = read_image(path.read_bytes())
+        _check_divisibility(img.height, img.width, depth)
+    except OSError as err:
+        raise OSError(f"cannot read {path}: {err}") from err
+    except ValueError as err:  # a malformed file or indivisible dimensions
+        raise ValueError(f"{path}: {err}") from err
+    return img
+
+
 def _run(args: argparse.Namespace) -> None:
-    emit_dir = args.emit_images
-    if emit_dir is not None:
-        emit_dir.mkdir(parents=True, exist_ok=True)
     if args.plot is not None and len(args.inputs) != 1:
         raise ValueError(
             f"--plot expects exactly one input image, got {len(args.inputs)}"
         )
+    # an input's stem is its image id in the report and in emitted file names
+    paths_by_stem: dict[str, Path] = {}
+    for path in args.inputs:
+        if path.stem in paths_by_stem:
+            raise ValueError(
+                f"inputs {paths_by_stem[path.stem]} and {path} share the image id "
+                f"{path.stem!r}; rename one"
+            )
+        paths_by_stem[path.stem] = path
+    # fail fast: every input is read and checked before any compute or output
+    images = [_read_input(path, args.depth) for path in args.inputs]
+    emit_dir = args.emit_images
+    if emit_dir is not None:
+        emit_dir.mkdir(parents=True, exist_ok=True)
     records: list[MetricsRecord] = []
-    for input_path in args.inputs:
-        try:
-            img = read_image(input_path.read_bytes())
-        except OSError as err:
-            raise OSError(f"cannot read {input_path}: {err}") from err
-        except NetpbmError as err:
-            raise NetpbmError(f"{input_path}: {err}") from err
-        stem = input_path.stem
+    for path, img in zip(args.inputs, images):
+        stem = path.stem
 
         def emit(record: MetricsRecord, recon) -> None:
             out = emit_dir / f"{stem}_{record.wavelet}_L{record.levels}.ppm"

@@ -41,18 +41,8 @@ def process_plane(plane: np.ndarray, wavelet: str, depth: int, levels: int) -> n
     fb = get_filter(wavelet)
     dec = dwt2d(plane, fb, depth)
     thresholded = Decomposition(
-        approx=dec.approx,
-        levels=tuple(
-            SubbandTriple(
-                h=threshold_subband(t.h, levels),
-                v=threshold_subband(t.v, levels),
-                d=threshold_subband(t.d, levels),
-            )
-            for t in dec.levels
-        ),
-        depth=dec.depth,
-        source_width=dec.source_width,
-        source_height=dec.source_height,
+        dec.approx,
+        tuple(SubbandTriple(*(threshold_subband(b, levels) for b in t)) for t in dec.levels),
     )
     return _to_uint8(idwt2d(thresholded, fb))
 

@@ -26,6 +26,10 @@ count further.  A zero overall spread yields a single block.
 All reductions (means, variances, centroids) use exactly rounded summation
 (math.fsum), making every output invariant under permutation of the input
 coefficients.
+
+Input contract, checked once per public call: a nonempty set of finite
+coefficients, L in LEVEL_CHOICES, and statistics that fit in float64.  Any
+violation raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,15 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LEVEL_CHOICES = (3, 5, 7)
-
-
-@dataclass(frozen=True)
-class CoeffStats:
-    """Population mean / standard deviation / count of a coefficient set."""
-
-    mean: float
-    std: float
-    count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +53,6 @@ class BlockPartition:
 
     boundaries: np.ndarray
     representatives: np.ndarray
-    levels_requested: int
 
     def __post_init__(self) -> None:
         bounds = np.asarray(self.boundaries, dtype=np.float64)
@@ -74,29 +68,35 @@ class BlockPartition:
             )
         if bounds.size and not np.all(np.diff(bounds) > 0):
             raise ValueError("boundaries must be strictly increasing")
-        if reps.size > self.levels_requested:
-            raise ValueError(
-                f"{reps.size} blocks exceed the requested {self.levels_requested} levels"
-            )
 
 
-def _as_coeff_array(coeffs) -> np.ndarray:
+def _checked(coeffs, levels: int) -> np.ndarray:
+    """The input contract: L in LEVEL_CHOICES, a nonempty flat set of finite floats."""
+    if levels not in LEVEL_CHOICES:
+        raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {levels}")
     arr = np.asarray(coeffs, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("coefficient set is empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"coefficients must be finite, got {arr[~np.isfinite(arr)][0]}")
     return arr
 
 
 def _mean(arr: np.ndarray) -> float:
-    return math.fsum(arr.tolist()) / arr.size
+    try:
+        return math.fsum(arr.tolist()) / arr.size
+    except OverflowError:
+        raise ValueError("coefficient statistics overflow float64") from None
 
 
-def coeff_stats(coeffs) -> CoeffStats:
+def _mean_std(arr: np.ndarray) -> tuple[float, float]:
     """Population moments: mean = sum(c)/N, std = sqrt(sum((c-mean)^2)/N)."""
-    arr = _as_coeff_array(coeffs)
     mean = _mean(arr)
-    var = math.fsum(((arr - mean) ** 2).tolist()) / arr.size
-    return CoeffStats(mean=mean, std=math.sqrt(var), count=arr.size)
+    with np.errstate(over="ignore"):
+        var = _mean((arr - mean) ** 2)
+    if not math.isfinite(var):
+        raise ValueError("coefficient statistics overflow float64")
+    return mean, math.sqrt(var)
 
 
 def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
@@ -105,19 +105,12 @@ def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
         cuts.append(value)
 
 
-def threshold_cuts(coeffs, levels: int) -> list[float]:
-    """Raw partition boundaries for L levels, before empty-block merging.
-
-    Returned sorted ascending; nested across levels for fixed input.
-    """
-    if levels not in LEVEL_CHOICES:
-        raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {levels}")
-    arr = _as_coeff_array(coeffs)
-    stats = coeff_stats(arr)
-    if stats.std == 0.0:
+def _cuts(arr: np.ndarray, levels: int) -> list[float]:
+    mean, std = _mean_std(arr)
+    if std == 0.0:
         return []
-    lo_edge = stats.mean - stats.std
-    hi_edge = stats.mean + stats.std
+    lo_edge = mean - std
+    hi_edge = mean + std
     cuts = [lo_edge, hi_edge]
     if levels >= 5:
         lower = arr[arr < lo_edge]
@@ -128,21 +121,19 @@ def threshold_cuts(coeffs, levels: int) -> list[float]:
             _append_cut(cuts, _mean(upper), hi_edge, math.inf)
         if levels == 7:
             if lower.size:
-                tail = coeff_stats(lower)
-                if tail.std > 0.0:
-                    _append_cut(cuts, tail.mean - tail.std, -math.inf, lo_edge)
+                tail_mean, tail_std = _mean_std(lower)
+                if tail_std > 0.0:
+                    _append_cut(cuts, tail_mean - tail_std, -math.inf, lo_edge)
             if upper.size:
-                tail = coeff_stats(upper)
-                if tail.std > 0.0:
-                    _append_cut(cuts, tail.mean + tail.std, hi_edge, math.inf)
+                tail_mean, tail_std = _mean_std(upper)
+                if tail_std > 0.0:
+                    _append_cut(cuts, tail_mean + tail_std, hi_edge, math.inf)
     cuts.sort()
     return cuts
 
 
-def build_partition(coeffs, levels: int) -> BlockPartition:
-    """Partition the coefficients into at most L centroid blocks."""
-    arr = _as_coeff_array(coeffs)
-    cuts = threshold_cuts(arr, levels)
+def _partition(arr: np.ndarray, levels: int) -> BlockPartition:
+    cuts = _cuts(arr, levels)
     block_index = np.searchsorted(cuts, arr, side="right")
     boundaries: list[float] = []
     representatives: list[float] = []
@@ -153,11 +144,20 @@ def build_partition(coeffs, levels: int) -> BlockPartition:
         if representatives:
             boundaries.append(cuts[block - 1])
         representatives.append(_mean(members))
-    return BlockPartition(
-        boundaries=np.array(boundaries),
-        representatives=np.array(representatives),
-        levels_requested=levels,
-    )
+    return BlockPartition(np.array(boundaries), np.array(representatives))
+
+
+def threshold_cuts(coeffs, levels: int) -> list[float]:
+    """Raw partition boundaries for L levels, before empty-block merging.
+
+    Returned sorted ascending; nested across levels for fixed input.
+    """
+    return _cuts(_checked(coeffs, levels), levels)
+
+
+def build_partition(coeffs, levels: int) -> BlockPartition:
+    """Partition the coefficients into at most L centroid blocks."""
+    return _partition(_checked(coeffs, levels), levels)
 
 
 def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
@@ -168,6 +168,6 @@ def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
 
 
 def threshold_subband(mat, levels: int) -> np.ndarray:
-    """Threshold one sub-band with its own statistics."""
-    arr = np.asarray(mat, dtype=np.float64)
-    return apply_partition(arr, build_partition(arr.ravel(), levels))
+    """Threshold one sub-band with its own statistics; the result has mat's shape."""
+    arr = _checked(mat, levels)
+    return apply_partition(arr, _partition(arr, levels)).reshape(np.shape(mat))

@@ -14,62 +14,48 @@ filter with the time-reversed (synthesis) filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .filters import FilterBank
 
 
-@dataclass(frozen=True, eq=False)
-class SubbandTriple:
+class SubbandTriple(NamedTuple):
     """Detail matrices of one decomposition level: horizontal, vertical, diagonal."""
 
     h: np.ndarray
     v: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self) -> None:
-        for attr in ("h", "v", "d"):
-            arr = np.asarray(getattr(self, attr), dtype=np.float64)
-            object.__setattr__(self, attr, arr)
-        if not (self.h.shape == self.v.shape == self.d.shape) or self.h.ndim != 2:
-            raise ValueError(
-                f"subband shapes differ: h={self.h.shape} v={self.v.shape} d={self.d.shape}"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Multi-level decomposition: final approximation + per-level detail triples.
 
-    levels[0] is the finest level; level i matrices are
-    (source_height / 2^(i+1)) x (source_width / 2^(i+1)).
+    levels[0] is the finest level and each level is half the previous one in
+    both dimensions, so an H x W plane gives level-i matrices of
+    (H / 2^(i+1)) x (W / 2^(i+1)); approx has the deepest level's shape.
     """
 
     approx: np.ndarray
     levels: tuple[SubbandTriple, ...]
-    depth: int
-    source_width: int
-    source_height: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "approx", np.asarray(self.approx, dtype=np.float64))
         object.__setattr__(self, "levels", tuple(self.levels))
-        if self.depth < 1 or len(self.levels) != self.depth:
-            raise ValueError(
-                f"depth {self.depth} does not match {len(self.levels)} detail levels"
-            )
-        for i, triple in enumerate(self.levels):
-            want = (self.source_height // 2 ** (i + 1), self.source_width // 2 ** (i + 1))
-            if triple.h.shape != want:
-                raise ValueError(
-                    f"level {i} subbands have shape {triple.h.shape}, expected {want}"
-                )
-        if self.approx.shape != self.levels[-1].h.shape:
-            raise ValueError(
-                f"approximation shape {self.approx.shape} does not match deepest "
-                f"level {self.levels[-1].h.shape}"
-            )
+        if not self.levels:
+            raise ValueError("depth must be >= 1, got 0 detail levels")
+        # walk up from the approximation: every level doubles the one below it
+        want, source = np.shape(self.approx), "the approximation"
+        for i in reversed(range(self.depth)):
+            shapes = [np.shape(band) for band in self.levels[i]]
+            if len(want) != 2 or shapes != [want] * 3:
+                raise ValueError(f"level {i} subband shapes {shapes} do not match {source} {want}")
+            want, source = (2 * want[0], 2 * want[1]), f"twice level {i}"
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
 
 def _analyze_rows(a: np.ndarray, h: np.ndarray, g: np.ndarray):
@@ -124,13 +110,7 @@ def dwt2d(plane, fb: FilterBank, depth: int) -> Decomposition:
         hi_lo, hi_hi = _analyze_rows(hi.T, h, g)
         triples.append(SubbandTriple(h=lo_hi.T, v=hi_lo.T, d=hi_hi.T))
         a = lo_lo.T
-    return Decomposition(
-        approx=a,
-        levels=tuple(triples),
-        depth=depth,
-        source_width=width,
-        source_height=height,
-    )
+    return Decomposition(a, tuple(triples))
 
 
 def idwt2d(dec: Decomposition, fb: FilterBank) -> np.ndarray:

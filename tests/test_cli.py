@@ -70,6 +70,17 @@ def test_module_entry_point_runs_main():
     assert "levels must be in {3, 5, 7}" in proc.stderr
 
 
+def test_package_entry_point_runs_main(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(wavequant.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavequant", "--levels", "4", "x.ppm"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "levels must be in {3, 5, 7}" in proc.stderr
+    assert proc.stderr.startswith("usage: wavequant")
+
+
 def test_invalid_wavelet_lists_supported_names(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["--wavelets", "db3", "--report", "r.csv", "x.ppm"])
@@ -266,3 +277,47 @@ def test_main_plot_with_multiple_inputs_fails(tmp_path, corpus, capsys):
                str(corpus[0]), str(corpus[1])])
     assert rc == 1
     assert "--plot" in capsys.readouterr().err
+
+
+# --- fail fast: every input is checked before any compute or output ---
+
+def assert_nothing_written(tmp_path, out_dir):
+    assert not (tmp_path / "r.csv").exists()
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_main_rejects_duplicate_stems_naming_both_paths(tmp_path, corpus, capsys):
+    other = tmp_path / "b" / "img0.ppm"
+    other.parent.mkdir()
+    other.write_bytes(corpus[1].read_bytes())
+    out_dir = tmp_path / "recon"
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(out_dir), str(corpus[0]), str(other)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(corpus[0]) in err and str(other) in err and "img0" in err
+    assert_nothing_written(tmp_path, out_dir)
+
+
+def test_main_truncated_later_input_fails_before_any_output(tmp_path, corpus, capsys):
+    trunc = tmp_path / "trunc.ppm"
+    trunc.write_bytes(corpus[1].read_bytes()[:-10])
+    out_dir = tmp_path / "recon"
+    rc = main(["--report", str(tmp_path / "r.csv"), "--emit-images", str(out_dir),
+               str(corpus[0]), str(trunc)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "trunc.ppm" in err and "truncated" in err
+    assert_nothing_written(tmp_path, out_dir)
+
+
+def test_main_indivisible_later_input_fails_before_any_output(tmp_path, corpus, capsys):
+    odd = tmp_path / "odd.ppm"
+    odd.write_bytes(write_image(RgbImage(np.zeros((12, 12, 3), dtype=np.uint8))))
+    out_dir = tmp_path / "recon"
+    rc = main(["--depth", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(out_dir), str(corpus[0]), str(odd)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "odd.ppm" in err and "divisible by 2^depth = 8" in err
+    assert_nothing_written(tmp_path, out_dir)

@@ -100,7 +100,7 @@ def test_synthesis_is_time_reversal(name):
         (zero, (zero, zero, unit), np.outer(g, g)),
     )
     for approx, details, expected in cases:
-        dec = Decomposition(approx, (SubbandTriple(*details),), 1, n, n)
+        dec = Decomposition(approx, (SubbandTriple(*details),))
         assert_allclose(idwt2d(dec, fb), expected, atol=1e-15)
 
 

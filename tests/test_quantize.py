@@ -1,15 +1,16 @@
-"""Quantizer: statistics, partition construction, application, oracle equality."""
+"""Quantizer: statistics, input contract, partitions, application, oracle equality."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavequant.quantize import (
     apply_partition,
     build_partition,
-    coeff_stats,
     threshold_cuts,
     threshold_subband,
 )
@@ -18,28 +19,51 @@ from oracle import oracle_cuts, oracle_threshold
 SEVEN = [-3.0, -1.0, 0.0, 0.0, 0.0, 1.0, 3.0]
 
 
-# --- statistics ---
+# --- statistics, read from the L=3 cuts mu - sigma and mu + sigma ---
 
 def test_stats_constant_input():
-    st = coeff_stats([1.0, 1.0, 1.0])
-    assert (st.mean, st.std, st.count) == (1.0, 0.0, 3)
+    for levels in (3, 5, 7):
+        assert threshold_cuts([1.0, 1.0, 1.0], levels) == []
 
 
 def test_stats_two_point():
-    st = coeff_stats([0.0, 2.0])
-    assert (st.mean, st.std) == (1.0, 1.0)
+    assert threshold_cuts([0.0, 2.0], 3) == [0.0, 2.0]
 
 
 def test_stats_seven_point():
-    st = coeff_stats(SEVEN)
-    assert st.mean == 0.0
-    assert st.std == math.sqrt(20.0 / 7.0)
-    assert abs(st.std - 1.6903085094570331) < 1e-12
+    lo, hi = threshold_cuts(SEVEN, 3)
+    assert lo == -hi
+    assert hi == math.sqrt(20.0 / 7.0)
+    assert abs(hi - 1.6903085094570331) < 1e-12
 
 
 def test_stats_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        coeff_stats([])
+        threshold_cuts([], 3)
+
+
+# --- input contract ---
+
+ENTRY_POINTS = (threshold_cuts, build_partition, threshold_subband)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "coeffs", ([math.inf, 0.0, 1.0], [math.nan, 0.0, 1.0, 2.0], [[0.0, -math.inf]]),
+    ids=("inf", "nan", "neg-inf-2d"),
+)
+def test_rejects_non_finite_coefficients(entry, coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        entry(coeffs, 3)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_rejects_statistics_overflow(entry):
+    for levels in (3, 5, 7):
+        for coeffs in ([1e200, -1e200, 0.0], [1.7e308, 1.7e308]):
+            with pytest.raises(ValueError, match="overflow"):
+                entry(coeffs, levels)
+        entry([1e150, -1e150, 0.0], levels)  # squares near 1e300 still fit
 
 
 # --- partition construction ---
@@ -185,3 +209,59 @@ def test_threshold_matches_brute_force_oracle():
             out = threshold_subband(mat, levels)
             expected = oracle_threshold(mat, levels)
             assert out.tolist() == expected, f"trial {trial} levels {levels}"
+
+
+# --- properties against the oracle (hypothesis) ---
+#
+# |x| <= 1e100 keeps every square, and so the pure-Python oracle, in range.
+
+FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False)
+EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0]
+)
+
+
+@st.composite
+def coefficient_sets(draw):
+    """Finite values with heavy duplication, signed zeros and subnormals."""
+    pool = draw(st.lists(st.one_of(FINITE, EDGE_VALUES), min_size=1, max_size=10))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+# integer sets with values on mu - sigma, mu + sigma and on tail cuts at L=5 and L=7
+ON_CUT_TEMPLATES = ((-8, -7, -5, -4, -2, -1), (-8, -6, -3, -3, 6, 7, 7))
+
+
+@st.composite
+def values_on_the_cuts(draw):
+    """Values that land exactly on cuts: [0, 2d] (mean d, std d), a template, or
+    small integers; repeated, shifted by an integer and scaled by a power of two,
+    which keeps every tie exact."""
+    base = draw(st.one_of(
+        st.integers(1, 1000).map(lambda d: (0, 2 * d)),
+        st.sampled_from(ON_CUT_TEMPLATES),
+        st.lists(st.integers(-8, 8), min_size=1, max_size=12),
+    ))
+    copies = draw(st.integers(1, 4))
+    offset = draw(st.integers(-1000, 1000))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    return draw(st.permutations([(offset + v) * scale for v in base] * copies))
+
+
+COEFFS = st.one_of(coefficient_sets(), values_on_the_cuts())
+
+
+@settings(derandomize=True, deadline=None)
+@given(COEFFS)
+def test_property_threshold_matches_oracle(coeffs):
+    for levels in (3, 5, 7):
+        assert threshold_cuts(coeffs, levels) == oracle_cuts(coeffs, levels)
+        assert threshold_subband(coeffs, levels).tolist() == oracle_threshold(coeffs, levels)
+
+
+@settings(derandomize=True, deadline=None)
+@given(COEFFS)
+def test_property_cuts_nest(coeffs):
+    c3, c5, c7 = (set(threshold_cuts(coeffs, levels)) for levels in (3, 5, 7))
+    assert c3 <= c5 <= c7
+

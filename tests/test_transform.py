@@ -28,7 +28,7 @@ def row_analysis(x, fb):
 def row_synthesis(ca, cd, fb):
     zero = np.zeros((1, ca.size))
     triple = SubbandTriple(zero, SQRT2 * cd[None, :], zero)
-    dec = Decomposition(SQRT2 * ca[None, :], (triple,), 1, 2 * ca.size, 2)
+    dec = Decomposition(SQRT2 * ca[None, :], (triple,))
     return idwt2d(dec, fb)[0]
 
 
@@ -152,7 +152,7 @@ def test_dwt2d_subband_dimensions():
     fb = get_filter("db2")
     dec = dwt2d(np.zeros((32, 16)), fb, 3)
     assert dec.depth == 3
-    assert (dec.source_height, dec.source_width) == (32, 16)
+    assert tuple(2 * n for n in dec.levels[0].h.shape) == (32, 16)
     for i, t in enumerate(dec.levels):
         assert t.h.shape == (32 // 2 ** (i + 1), 16 // 2 ** (i + 1))
     assert dec.approx.shape == (4, 2)
@@ -188,14 +188,11 @@ def test_reconstruction_after_zeroing_details_preserves_mean():
     plane = rng.uniform(0, 255, (32, 32))
     dec = dwt2d(plane, fb, 2)
     smooth_dec = Decomposition(
-        approx=dec.approx,
-        levels=tuple(
+        dec.approx,
+        tuple(
             SubbandTriple(np.zeros_like(t.h), np.zeros_like(t.v), np.zeros_like(t.d))
             for t in dec.levels
         ),
-        depth=dec.depth,
-        source_width=dec.source_width,
-        source_height=dec.source_height,
     )
     smooth = idwt2d(smooth_dec, fb)
     assert abs(smooth.mean() - plane.mean()) < 1e-8
@@ -218,21 +215,19 @@ def test_transform_linearity():
 
 
 def test_decomposition_validates_consistency():
+    def triple(shape):
+        return SubbandTriple(np.zeros(shape), np.zeros(shape), np.zeros(shape))
+
+    with pytest.raises(ValueError, match="level 0"):
+        Decomposition(np.zeros((2, 2)), (triple((3, 4)), triple((2, 2))))
     with pytest.raises(ValueError, match="level 0"):
         Decomposition(
-            approx=np.zeros((4, 4)),
-            levels=(SubbandTriple(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4))),),
-            depth=1,
-            source_width=8,
-            source_height=8,
+            np.zeros((2, 2)),
+            (SubbandTriple(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))),),
         )
-    with pytest.raises(ValueError, match="shapes differ"):
-        SubbandTriple(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="level 0.*the approximation"):
+        Decomposition(np.zeros((4, 4)), (triple((2, 2)),))
     with pytest.raises(ValueError, match="depth"):
-        Decomposition(
-            approx=np.zeros((4, 4)),
-            levels=(),
-            depth=0,
-            source_width=8,
-            source_height=8,
-        )
+        Decomposition(np.zeros((4, 4)), ())
+    dec = Decomposition(np.zeros((1, 2)), [triple((2, 4)), triple((1, 2))])
+    assert dec.depth == 2 and isinstance(dec.levels, tuple)
