@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .filters import SUPPORTED_WAVELETS, get_filter
 from .image import RgbImage, read_image, write_image
@@ -20,11 +22,19 @@ from .quantize import LEVEL_CHOICES
 from .transform import _check_divisibility
 
 
+def _unique(values: list, what: str) -> list:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{what} {value} is repeated")
+    return values
+
+
 def _wavelet_list(text: str) -> list[str]:
     try:
-        return [get_filter(part).name for part in text.split(",")]
+        names = [get_filter(part).name for part in text.split(",")]
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    return _unique(names, "wavelet")
 
 
 def _level_list(text: str) -> list[int]:
@@ -41,7 +51,7 @@ def _level_list(text: str) -> list[int]:
                 f"levels must be in {set(LEVEL_CHOICES)}, got {value}"
             )
         levels.append(value)
-    return levels
+    return _unique(levels, "level")
 
 
 def _positive_int(text: str) -> int:
@@ -169,22 +179,31 @@ def _read_input(path: Path, depth: int) -> RgbImage:
     return img
 
 
-def _run(args: argparse.Namespace) -> None:
-    if args.plot is not None and len(args.inputs) != 1:
-        raise ValueError(
-            f"--plot expects exactly one input image, got {len(args.inputs)}"
-        )
-    # an input's stem is its image id in the report and in emitted file names
-    paths_by_stem: dict[str, Path] = {}
-    for path in args.inputs:
-        if path.stem in paths_by_stem:
-            raise ValueError(
-                f"inputs {paths_by_stem[path.stem]} and {path} share the image id "
-                f"{path.stem!r}; rename one"
-            )
-        paths_by_stem[path.stem] = path
-    # fail fast: every input is read and checked before any compute or output
-    images = [_read_input(path, args.depth) for path in args.inputs]
+@contextmanager
+def _staged(path: Path | None, what: str) -> Iterator[Path | None]:
+    """Temp file beside path, made on entry and moved onto path if the block succeeds.
+
+    Making it before any compute finds an unwritable destination at once; the
+    temp file is removed on any failure, so path keeps its old bytes.
+    """
+    if path is None:
+        yield None
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        if path.is_dir():
+            raise IsADirectoryError("is a directory")
+        tmp.open("x").close()
+    except OSError as err:
+        raise OSError(f"cannot write {what} {path}: {err}") from err
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _sweep(args: argparse.Namespace, images: Sequence[RgbImage]) -> list[MetricsRecord]:
     emit_dir = args.emit_images
     if emit_dir is not None:
         emit_dir.mkdir(parents=True, exist_ok=True)
@@ -206,9 +225,31 @@ def _run(args: argparse.Namespace) -> None:
                 on_reconstruction=emit if emit_dir is not None else None,
             )
         )
-    write_report(records, args.report)
-    if args.plot is not None:
-        write_plot_data(records, args.plot)
+    return records
+
+
+def _run(args: argparse.Namespace) -> None:
+    if args.plot is not None and len(args.inputs) != 1:
+        raise ValueError(
+            f"--plot expects exactly one input image, got {len(args.inputs)}"
+        )
+    # an input's stem is its image id in the report and in emitted file names
+    paths_by_stem: dict[str, Path] = {}
+    for path in args.inputs:
+        if path.stem in paths_by_stem:
+            raise ValueError(
+                f"inputs {paths_by_stem[path.stem]} and {path} share the image id "
+                f"{path.stem!r}; rename one"
+            )
+        paths_by_stem[path.stem] = path
+    # fail fast: every input is read and checked, and every output file
+    # staged, before any compute or emitted image
+    images = [_read_input(path, args.depth) for path in args.inputs]
+    with _staged(args.report, "report") as report, _staged(args.plot, "plot data") as plot:
+        records = _sweep(args, images)
+        write_report(records, report)
+        if plot is not None:
+            write_plot_data(records, plot)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -5,10 +5,12 @@ Phase convention, fixed for reproducibility:
     approx[k] = sum_n h[n] * x[(2k + n) mod N]
     detail[k] = sum_n g[n] * x[(2k + n) mod N]
 
-The inverse is the adjoint of this operator, which for an orthonormal bank
-is the exact inverse for every even N (including N < filter length, where
-the periodized taps fold).  Equivalently: upsample by two and circularly
-filter with the time-reversed (synthesis) filters.
+Both directions run one polyphase kernel along either axis.  Analysis applies
+P_m = [[h[2m], h[2m+1]], [g[2m], g[2m+1]]] to the even and odd samples rolled
+by -m.  Synthesis is the adjoint, so the exact inverse for every even N (taps
+fold when N < filter length): it applies P_m^T to the coefficient pair rolled
+by +m and interleaves the two outputs.  Taps are added one at a time in filter
+order, so this code, not BLAS, fixes the summation order.
 """
 
 from __future__ import annotations
@@ -58,26 +60,24 @@ class Decomposition:
         return len(self.levels)
 
 
-def _analyze_rows(a: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """One analysis pass along the last axis of a 2-D array."""
-    n = a.shape[1]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    windows = a[:, idx]
-    return windows @ h, windows @ g
+def _polyphase(x: np.ndarray, y: np.ndarray, fb: FilterBank, axis: int, adjoint: bool):
+    """(u, v) = sum_m P_m (x, y) rolled by -m along axis; P_m^T rolled by +m if adjoint."""
+    p = np.stack((fb.lowpass.reshape(-1, 2), fb.highpass.reshape(-1, 2)), axis=1)
+    taps, shift = (np.swapaxes(p, 1, 2), 1) if adjoint else (p, -1)
+    u, v = np.zeros(x.shape), np.zeros(x.shape)
+    for m, ((a, b), (c, d)) in enumerate(taps):
+        xm, ym = np.roll(x, m * shift, axis), np.roll(y, m * shift, axis)
+        u += a * xm
+        u += b * ym
+        v += c * xm
+        v += d * ym
+    return u, v
 
 
-def _synthesize_rows(ca: np.ndarray, cd: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Adjoint of _analyze_rows: scatter each coefficient back over its window."""
-    rows, half = ca.shape
-    n = 2 * half
-    up_a = np.zeros((rows, n))
-    up_a[:, ::2] = ca
-    up_d = np.zeros((rows, n))
-    up_d[:, ::2] = cd
-    out = np.zeros((rows, n))
-    for k in range(h.size):
-        out += h[k] * np.roll(up_a, k, axis=1) + g[k] * np.roll(up_d, k, axis=1)
-    return out
+def _interleave(even: np.ndarray, odd: np.ndarray, axis: int) -> np.ndarray:
+    shape = list(even.shape)
+    shape[axis] *= 2
+    return np.stack((even, odd), axis + 1).reshape(shape)
 
 
 def _check_divisibility(height: int, width: int, depth: int) -> None:
@@ -102,23 +102,21 @@ def dwt2d(plane, fb: FilterBank, depth: int) -> Decomposition:
         raise ValueError(f"plane must be 2-D, got shape {a.shape}")
     height, width = a.shape
     _check_divisibility(height, width, depth)
-    h, g = fb.lowpass, fb.highpass
     triples = []
     for _ in range(depth):
-        lo, hi = _analyze_rows(a, h, g)
-        lo_lo, lo_hi = _analyze_rows(lo.T, h, g)
-        hi_lo, hi_hi = _analyze_rows(hi.T, h, g)
-        triples.append(SubbandTriple(h=lo_hi.T, v=hi_lo.T, d=hi_hi.T))
-        a = lo_lo.T
+        lo, hi = _polyphase(a[:, 0::2], a[:, 1::2], fb, 1, adjoint=False)
+        lo_lo, lo_hi = _polyphase(lo[0::2], lo[1::2], fb, 0, adjoint=False)
+        hi_lo, hi_hi = _polyphase(hi[0::2], hi[1::2], fb, 0, adjoint=False)
+        triples.append(SubbandTriple(h=lo_hi, v=hi_lo, d=hi_hi))
+        a = lo_lo
     return Decomposition(a, tuple(triples))
 
 
 def idwt2d(dec: Decomposition, fb: FilterBank) -> np.ndarray:
     """Exact inverse of dwt2d (mirrors the row/column order of the analysis)."""
-    h, g = fb.lowpass, fb.highpass
     a = dec.approx
     for triple in reversed(dec.levels):
-        lo = _synthesize_rows(a.T, triple.h.T, h, g).T
-        hi = _synthesize_rows(triple.v.T, triple.d.T, h, g).T
-        a = _synthesize_rows(lo, hi, h, g)
+        lo = _interleave(*_polyphase(a, triple.h, fb, 0, adjoint=True), 0)
+        hi = _interleave(*_polyphase(triple.v, triple.d, fb, 0, adjoint=True), 0)
+        a = _interleave(*_polyphase(lo, hi, fb, 1, adjoint=True), 1)
     return a

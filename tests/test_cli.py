@@ -89,6 +89,20 @@ def test_invalid_wavelet_lists_supported_names(capsys):
     assert "db3" in err and "coif5" in err
 
 
+def test_repeated_wavelet_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--wavelets", "db2,coif1,DB2", "--report", "r.csv", "x.ppm"])
+    assert exc.value.code == 2
+    assert "wavelet db2 is repeated" in capsys.readouterr().err
+
+
+def test_repeated_level_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--levels", "3,5,3", "--report", "r.csv", "x.ppm"])
+    assert exc.value.code == 2
+    assert "level 3 is repeated" in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["--bogus", "--report", "r.csv", "x.ppm"])
@@ -321,3 +335,31 @@ def test_main_indivisible_later_input_fails_before_any_output(tmp_path, corpus, 
     err = capsys.readouterr().err
     assert "odd.ppm" in err and "divisible by 2^depth = 8" in err
     assert_nothing_written(tmp_path, out_dir)
+
+
+# --- outputs: staged beside their destination before any compute, then replaced ---
+
+@pytest.mark.parametrize("dest", ("missing/r.csv", "existing_dir"))
+def test_main_unwritable_report_fails_before_any_output(tmp_path, corpus, capsys, dest):
+    (tmp_path / "existing_dir").mkdir()
+    report = tmp_path / dest
+    out_dir = tmp_path / "recon"
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", str(report),
+               "--emit-images", str(out_dir), str(corpus[0])])
+    assert rc == 1
+    assert f"cannot write report {report}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_main_unwritable_plot_keeps_existing_report(tmp_path, corpus, capsys):
+    report = tmp_path / "r.csv"
+    assert main(["--wavelets", "db2", "--levels", "3", "--report", str(report),
+                 str(corpus[0])]) == 0
+    before = report.read_bytes()
+    plot = tmp_path / "missing" / "p.dat"
+    rc = main(["--wavelets", "db4", "--levels", "5", "--report", str(report),
+               "--plot", str(plot), str(corpus[0])])
+    assert rc == 1
+    assert f"cannot write plot data {plot}" in capsys.readouterr().err
+    assert report.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm", "r.csv"]

@@ -118,6 +118,27 @@ def test_dwt2d_matches_dense_operator(name, shape):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("shape", ((32, 16), (16, 64)))
+def test_dwt2d_deeper_levels_match_dense_operator(name, shape):
+    # each level is the dense operator applied to the oracle's previous approximation
+    fb = get_filter(name)
+    x = np.random.default_rng(shape[0] + 3 * shape[1]).uniform(-100, 100, shape)
+    dec = dwt2d(x, fb, 3)
+    approx = x
+    for triple in dec.levels:
+        height, width = approx.shape
+        w_h = dense_analysis_matrix(height, fb.lowpass, fb.highpass)
+        w_w = dense_analysis_matrix(width, fb.lowpass, fb.highpass)
+        expected = w_h @ approx @ w_w.T
+        top, left = height // 2, width // 2
+        assert_allclose(triple.v, expected[:top, left:], atol=1e-10)
+        assert_allclose(triple.h, expected[top:, :left], atol=1e-10)
+        assert_allclose(triple.d, expected[top:, left:], atol=1e-10)
+        approx = expected[:top, :left]
+    assert_allclose(dec.approx, approx, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_idwt2d_inverts_dwt2d_on_short_planes(name, shape):
     fb = get_filter(name)
