@@ -23,18 +23,26 @@ half-open [lo, hi): a coefficient equal to a boundary belongs to the upper
 block.  Empty blocks are merged away, which can only shrink the block
 count further.  A zero overall spread yields a single block.
 
-All reductions (means, variances, centroids) use exactly rounded summation
-(math.fsum), making every output invariant under permutation of the input
-coefficients.
+Each sub-band is sorted once.  A block [lo, hi) is then a contiguous slice
+of the sorted values, from the count of values below lo to the count below
+hi (np.searchsorted, side="left", so a tie goes to the upper block), and
+every mean, variance and centroid is a math.fsum over a slice.  fsum is
+exactly rounded, so its result does not depend on summation order: a slice
+sum equals, bit for bit, the sum of the same members in input order, and
+every output is invariant under permutation of the input.  Each slice is
+summed once for all requested L: the overall moments, the whole tails and
+the centre block serve L = 3, 5 and 7 alike, and the L = 3 tail centroid is
+the L = 5 tail-mean cut.  threshold_subband takes one L or a sequence of L.
 
 Input contract, checked once per public call: a nonempty set of finite
-coefficients, L in LEVEL_CHOICES, and statistics that fit in float64.  Any
-violation raises ValueError.
+coefficients; L in LEVEL_CHOICES, or a nonempty sequence of distinct such L;
+and statistics that fit in float64.  Any violation raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +78,29 @@ class BlockPartition:
             raise ValueError("boundaries must be strictly increasing")
 
 
-def _checked(coeffs, levels: int) -> np.ndarray:
-    """The input contract: L in LEVEL_CHOICES, a nonempty flat set of finite floats."""
-    if levels not in LEVEL_CHOICES:
-        raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {levels}")
+def _check_level(level) -> None:
+    if level not in LEVEL_CHOICES:
+        raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {level}")
+
+
+def level_batch(levels: int | Sequence[int]) -> tuple[tuple[int, ...], bool]:
+    """The requested L as a tuple, and whether levels was one L rather than a sequence.
+
+    A sequence must be nonempty and name each L in LEVEL_CHOICES at most once.
+    """
+    single = np.ndim(levels) == 0
+    batch = (levels,) if single else tuple(levels)
+    if not batch:
+        raise ValueError(f"levels must name at least one L, got {levels!r}")
+    for i, level in enumerate(batch):
+        _check_level(level)
+        if level in batch[:i]:
+            raise ValueError(f"level {level} is repeated in levels {levels!r}")
+    return batch, single
+
+
+def _checked(coeffs) -> np.ndarray:
+    """The input contract on coefficients: a nonempty flat set of finite floats."""
     arr = np.asarray(coeffs, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("coefficient set is empty")
@@ -82,21 +109,45 @@ def _checked(coeffs, levels: int) -> np.ndarray:
     return arr
 
 
-def _mean(arr: np.ndarray) -> float:
-    try:
-        return math.fsum(arr.tolist()) / arr.size
-    except OverflowError:
-        raise ValueError("coefficient statistics overflow float64") from None
+def _overflow() -> ValueError:
+    return ValueError("coefficient statistics overflow float64")
 
 
-def _mean_std(arr: np.ndarray) -> tuple[float, float]:
-    """Population moments: mean = sum(c)/N, std = sqrt(sum((c-mean)^2)/N)."""
-    mean = _mean(arr)
-    with np.errstate(over="ignore"):
-        var = _mean((arr - mean) ** 2)
-    if not math.isfinite(var):
-        raise ValueError("coefficient statistics overflow float64")
-    return mean, math.sqrt(var)
+class _SortedBand:
+    """A coefficient set sorted once, so that every block [lo, hi) is the
+    slice values[rank(lo):rank(hi)].  Slice sums are kept: a block, tail or
+    moment that several L share is summed once."""
+
+    def __init__(self, arr: np.ndarray) -> None:
+        self.sorted = np.sort(arr)
+        self.values = self.sorted.tolist()
+        self.size = arr.size
+        self._sums: dict[tuple[int, int], float] = {}
+
+    def rank(self, cut: float) -> int:
+        """Number of values strictly below cut: the start of the block that cut opens."""
+        return int(np.searchsorted(self.sorted, cut, side="left"))
+
+    def mean(self, a: int, b: int) -> float:
+        if (a, b) not in self._sums:
+            try:
+                self._sums[a, b] = math.fsum(self.values[a:b])
+            except OverflowError:
+                raise _overflow() from None
+        return self._sums[a, b] / (b - a)
+
+    def mean_std(self, a: int, b: int) -> tuple[float, float]:
+        """Population moments of values[a:b]: mean = sum(c)/N, std = sqrt(sum((c-mean)^2)/N)."""
+        mean = self.mean(a, b)
+        with np.errstate(over="ignore"):
+            squares = ((self.sorted[a:b] - mean) ** 2).tolist()
+        try:
+            var = math.fsum(squares) / (b - a)
+        except OverflowError:
+            raise _overflow() from None
+        if not math.isfinite(var):
+            raise _overflow()
+        return mean, math.sqrt(var)
 
 
 def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
@@ -105,45 +156,47 @@ def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
         cuts.append(value)
 
 
-def _cuts(arr: np.ndarray, levels: int) -> list[float]:
-    mean, std = _mean_std(arr)
+def _cuts(band: _SortedBand, top: int) -> dict[int, list[float]]:
+    """Sorted raw cuts of every L up to top; each L extends the cuts of the one below."""
+    mean, std = band.mean_std(0, band.size)
     if std == 0.0:
-        return []
+        return {level: [] for level in LEVEL_CHOICES}
     lo_edge = mean - std
     hi_edge = mean + std
     cuts = [lo_edge, hi_edge]
-    if levels >= 5:
-        lower = arr[arr < lo_edge]
-        upper = arr[arr >= hi_edge]
-        if lower.size:
-            _append_cut(cuts, _mean(lower), -math.inf, lo_edge)
-        if upper.size:
-            _append_cut(cuts, _mean(upper), hi_edge, math.inf)
-        if levels == 7:
-            if lower.size:
-                tail_mean, tail_std = _mean_std(lower)
+    by_level = {3: sorted(cuts)}
+    if top >= 5:
+        n = band.size
+        a, b = band.rank(lo_edge), band.rank(hi_edge)  # tails [0, a) and [b, n)
+        if a:
+            _append_cut(cuts, band.mean(0, a), -math.inf, lo_edge)
+        if b < n:
+            _append_cut(cuts, band.mean(b, n), hi_edge, math.inf)
+        by_level[5] = sorted(cuts)
+        if top == 7:
+            if a:
+                tail_mean, tail_std = band.mean_std(0, a)
                 if tail_std > 0.0:
                     _append_cut(cuts, tail_mean - tail_std, -math.inf, lo_edge)
-            if upper.size:
-                tail_mean, tail_std = _mean_std(upper)
+            if b < n:
+                tail_mean, tail_std = band.mean_std(b, n)
                 if tail_std > 0.0:
                     _append_cut(cuts, tail_mean + tail_std, hi_edge, math.inf)
-    cuts.sort()
-    return cuts
+            by_level[7] = sorted(cuts)
+    return by_level
 
 
-def _partition(arr: np.ndarray, levels: int) -> BlockPartition:
-    cuts = _cuts(arr, levels)
-    block_index = np.searchsorted(cuts, arr, side="right")
+def _partition(band: _SortedBand, cuts: list[float]) -> BlockPartition:
+    """One centroid per nonempty block; an empty block's span goes to a neighbor."""
+    edges = [0, *np.searchsorted(band.sorted, cuts, side="left").tolist(), band.size]
     boundaries: list[float] = []
     representatives: list[float] = []
-    for block in range(len(cuts) + 1):
-        members = arr[block_index == block]
-        if members.size == 0:
-            continue  # empty block: its span is absorbed by a neighbor
+    for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        if a == b:
+            continue
         if representatives:
             boundaries.append(cuts[block - 1])
-        representatives.append(_mean(members))
+        representatives.append(band.mean(a, b))
     return BlockPartition(np.array(boundaries), np.array(representatives))
 
 
@@ -152,12 +205,15 @@ def threshold_cuts(coeffs, levels: int) -> list[float]:
 
     Returned sorted ascending; nested across levels for fixed input.
     """
-    return _cuts(_checked(coeffs, levels), levels)
+    _check_level(levels)
+    return _cuts(_SortedBand(_checked(coeffs)), levels)[levels]
 
 
 def build_partition(coeffs, levels: int) -> BlockPartition:
     """Partition the coefficients into at most L centroid blocks."""
-    return _partition(_checked(coeffs, levels), levels)
+    _check_level(levels)
+    band = _SortedBand(_checked(coeffs))
+    return _partition(band, _cuts(band, levels)[levels])
 
 
 def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
@@ -167,7 +223,21 @@ def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
     return partition.representatives[idx]
 
 
-def threshold_subband(mat, levels: int) -> np.ndarray:
-    """Threshold one sub-band with its own statistics; the result has mat's shape."""
-    arr = _checked(mat, levels)
-    return apply_partition(arr, _partition(arr, levels)).reshape(np.shape(mat))
+def threshold_subband(
+    mat, levels: int | Sequence[int]
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Threshold one sub-band with its own statistics; each result has mat's shape.
+
+    levels is one L, giving one array, or a sequence of L, giving a tuple
+    with one array per L in that order.  The band is checked and sorted
+    once for all of them.
+    """
+    batch, single = level_batch(levels)
+    arr = _checked(mat)
+    band = _SortedBand(arr)
+    cuts = _cuts(band, max(batch))
+    results = tuple(
+        apply_partition(arr, _partition(band, cuts[level])).reshape(np.shape(mat))
+        for level in batch
+    )
+    return results[0] if single else results

@@ -64,9 +64,15 @@ def _polyphase(x: np.ndarray, y: np.ndarray, fb: FilterBank, axis: int, adjoint:
     """(u, v) = sum_m P_m (x, y) rolled by -m along axis; P_m^T rolled by +m if adjoint."""
     p = np.stack((fb.lowpass.reshape(-1, 2), fb.highpass.reshape(-1, 2)), axis=1)
     taps, shift = (np.swapaxes(p, 1, 2), 1) if adjoint else (p, -1)
+    # periodic extension ext[j] = x[(j - o) mod n]: x rolled by shift*m is the
+    # window of n samples starting at o - shift*m, a view rather than a copy
+    n, o = x.shape[axis], (len(taps) - 1 if adjoint else 0)
+    ext = (np.arange(n + len(taps) - 1) - o) % n
+    xe, ye = np.take(x, ext, axis), np.take(y, ext, axis)
     u, v = np.zeros(x.shape), np.zeros(x.shape)
     for m, ((a, b), (c, d)) in enumerate(taps):
-        xm, ym = np.roll(x, m * shift, axis), np.roll(y, m * shift, axis)
+        window = (slice(None),) * axis + (slice(o - shift * m, o - shift * m + n),)
+        xm, ym = xe[window], ye[window]
         u += a * xm
         u += b * ym
         v += c * xm

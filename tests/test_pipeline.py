@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavequant import pipeline
 from wavequant.filters import SUPPORTED_WAVELETS
 from wavequant.image import RgbImage
 from wavequant.pipeline import process_image, process_plane, psnr, run_experiment
@@ -143,3 +144,58 @@ def test_run_experiment_emits_reconstructions(small_natural_image):
         on_reconstruction=lambda rec, img: seen.append((rec.levels, img.width)),
     )
     assert seen == [(3, 64), (5, 64)]
+
+
+def test_run_experiment_batches_levels_per_wavelet(small_natural_image, monkeypatch):
+    wavelets = [DB2, "coif1"]
+
+    def run(img, levels_list):
+        seen = []
+        records = run_experiment(
+            img, "b", wavelets, levels_list, 1,
+            on_reconstruction=lambda rec, recon: seen.append((rec, recon)),
+        )
+        assert records == [rec for rec, _ in seen]
+        return seen
+
+    # one run over [3, 5, 7] gives what three single-L runs give, in grid order
+    batched = run(small_natural_image, [3, 5, 7])
+    single = {}
+    for levels in (3, 5, 7):
+        for rec, recon in run(small_natural_image, [levels]):
+            single[rec.wavelet, rec.levels] = (rec, recon)
+    assert [(rec.wavelet, rec.levels) for rec, _ in batched] == [
+        (w, lv) for w in wavelets for lv in (3, 5, 7)
+    ]
+    for rec, recon in batched:
+        want_rec, want_recon = single[rec.wavelet, rec.levels]
+        assert rec == want_rec and recon == want_recon
+
+    # the forward DWT runs once per (channel, wavelet), and once per wavelet
+    # when the three channels are one plane
+    calls = []
+    dwt2d = pipeline.dwt2d
+    monkeypatch.setattr(
+        pipeline, "dwt2d", lambda plane, fb, depth: calls.append(fb.name) or dwt2d(plane, fb, depth)
+    )
+    run(small_natural_image, [3, 5, 7])
+    assert calls == [DB2] * 3 + ["coif1"] * 3
+    calls.clear()
+    gray = RgbImage(np.broadcast_to(small_natural_image.pixels[:, :, :1], (64, 64, 3)))
+    run(gray, [3, 5, 7])
+    assert calls == wavelets
+
+
+def test_process_image_sequence_levels(small_natural_image):
+    batched = process_image(small_natural_image, DB2, 1, (7, 3))
+    assert batched == (
+        process_image(small_natural_image, DB2, 1, 7),
+        process_image(small_natural_image, DB2, 1, 3),
+    )
+    plane = small_natural_image.pixels[:, :, 1]
+    (only,) = process_plane(plane, DB2, 1, [5])
+    assert np.array_equal(only, process_plane(plane, DB2, 1, 5))
+    bad = (((), "at least one L"), ((3, 3), "level 3 is repeated"), ((3, 4), "got 4"))
+    for levels, message in bad:
+        with pytest.raises(ValueError, match=message):
+            process_plane(plane, DB2, 1, levels)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavequant.quantize import (
+    LEVEL_CHOICES,
     apply_partition,
     build_partition,
     threshold_cuts,
@@ -44,7 +45,12 @@ def test_stats_rejects_empty():
 
 # --- input contract ---
 
-ENTRY_POINTS = (threshold_cuts, build_partition, threshold_subband)
+def threshold_subband_sequence(coeffs, levels):
+    """threshold_subband given every L as a sequence, levels first."""
+    return threshold_subband(coeffs, (levels, *(lv for lv in LEVEL_CHOICES if lv != levels)))
+
+
+ENTRY_POINTS = (threshold_cuts, build_partition, threshold_subband, threshold_subband_sequence)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
@@ -64,6 +70,30 @@ def test_rejects_statistics_overflow(entry):
             with pytest.raises(ValueError, match="overflow"):
                 entry(coeffs, levels)
         entry([1e150, -1e150, 0.0], levels)  # squares near 1e300 still fit
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    (((), r"at least one L, got \(\)"), ([3, 5, 3], "level 3 is repeated"),
+     ((5, 4), "got 4"), ([9], "got 9")),
+    ids=("empty", "repeated", "outside", "outside-only"),
+)
+def test_rejects_bad_levels_sequence(levels, message):
+    with pytest.raises(ValueError, match=message):
+        threshold_subband(SEVEN, levels)
+
+
+def test_sequence_gives_one_result_per_level_in_order():
+    rng = np.random.default_rng(17)
+    mat = rng.normal(scale=5.0, size=(6, 9))
+    batched = threshold_subband(mat, [7, 3, 5])
+    assert isinstance(batched, tuple) and len(batched) == 3
+    for levels, out in zip((7, 3, 5), batched):
+        single = threshold_subband(mat, levels)
+        assert isinstance(single, np.ndarray) and out.shape == mat.shape
+        assert np.array_equal(out, single)
+    (only,) = threshold_subband(mat, (5,))
+    assert np.array_equal(only, threshold_subband(mat, 5))
 
 
 # --- partition construction ---
@@ -257,6 +287,8 @@ def test_property_threshold_matches_oracle(coeffs):
     for levels in (3, 5, 7):
         assert threshold_cuts(coeffs, levels) == oracle_cuts(coeffs, levels)
         assert threshold_subband(coeffs, levels).tolist() == oracle_threshold(coeffs, levels)
+    for levels, out in zip((3, 5, 7), threshold_subband(coeffs, (3, 5, 7))):
+        assert out.tolist() == oracle_threshold(coeffs, levels)
 
 
 @settings(derandomize=True, deadline=None)
