@@ -18,15 +18,8 @@ from typing import Iterator, Sequence
 from .filters import SUPPORTED_WAVELETS, get_filter
 from .image import RgbImage, read_image, write_image
 from .pipeline import MetricsRecord, run_experiment
-from .quantize import LEVEL_CHOICES
+from .quantize import LEVEL_CHOICES, level_batch
 from .transform import _check_divisibility
-
-
-def _unique(values: list, what: str) -> list:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise argparse.ArgumentTypeError(f"{what} {value} is repeated")
-    return values
 
 
 def _wavelet_list(text: str) -> list[str]:
@@ -34,24 +27,27 @@ def _wavelet_list(text: str) -> list[str]:
         names = [get_filter(part).name for part in text.split(",")]
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    return _unique(names, "wavelet")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"wavelet {name} is repeated")
+    return names
 
 
 def _level_list(text: str) -> list[int]:
+    """Comma-separated integers; quantize.level_batch checks them as a set of L."""
     levels = []
     for part in text.split(","):
         try:
-            value = int(part)
+            levels.append(int(part))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid level {part.strip()!r}; levels must be in {set(LEVEL_CHOICES)}"
             ) from None
-        if value not in LEVEL_CHOICES:
-            raise argparse.ArgumentTypeError(
-                f"levels must be in {set(LEVEL_CHOICES)}, got {value}"
-            )
-        levels.append(value)
-    return _unique(levels, "level")
+    try:
+        level_batch(levels)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return levels
 
 
 def _positive_int(text: str) -> int:

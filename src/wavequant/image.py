@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -49,73 +50,49 @@ class RgbImage:
         )
 
 
-class _HeaderScanner:
-    """Token scanner for Netpbm headers: whitespace-separated, '#' comments."""
+# one header field: whitespace and '#' comments (to end of line), then the token
+_FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def _skip_filler(self) -> None:
-        while self.pos < len(self.data):
-            c = self.data[self.pos:self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            else:
-                return
-
-    def token(self, field: str) -> bytes:
-        self._skip_filler()
-        start = self.pos
-        while self.pos < len(self.data):
-            c = self.data[self.pos:self.pos + 1]
-            if c.isspace() or c == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise NetpbmError(f"missing {field} in header")
-        return self.data[start:self.pos]
-
-    def int_token(self, field: str) -> int:
-        tok = self.token(field)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise NetpbmError(f"invalid {field} {tok!r}") from None
-        if value <= 0:
-            raise NetpbmError(f"invalid {field} {value}; must be positive")
-        return value
-
-    def payload(self) -> bytes:
-        # exactly one whitespace byte separates maxval from the raster
-        if self.pos >= len(self.data) or not self.data[self.pos:self.pos + 1].isspace():
-            raise NetpbmError("missing whitespace before payload")
-        self.pos += 1
-        return self.data[self.pos:]
+def _field(data: bytes, pos: int, name: str) -> tuple[bytes, int]:
+    """The header token at or after pos, and the offset just past it."""
+    match = _FIELD.match(data, pos)
+    if not match[1]:
+        raise NetpbmError(f"missing {name} in header")
+    return match[1], match.end()
 
 
 def read_image(data: bytes) -> RgbImage:
-    """Decode binary PPM (P6) or PGM (P5, promoted to RGB), maxval 255."""
-    scanner = _HeaderScanner(data)
-    magic = scanner.token("magic")
+    """Decode binary PPM (P6) or PGM (P5, promoted to RGB), maxval 255, with
+    digit-only numeric fields and no byte after the raster."""
+    magic, pos = _field(data, 0, "magic")
     if magic not in (b"P5", b"P6"):
         raise NetpbmError(f"unsupported magic {magic!r}; expected P5 or P6")
-    width = scanner.int_token("width")
-    height = scanner.int_token("height")
-    maxval = scanner.int_token("maxval")
+    sizes = []
+    for name in ("width", "height", "maxval"):
+        token, pos = _field(data, pos, name)
+        try:
+            value = int(token) if token.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            value = None
+        if value is None:
+            raise NetpbmError(f"invalid {name} {token!r}")
+        if value == 0:
+            raise NetpbmError(f"invalid {name} 0; must be positive")
+        sizes.append(value)
+    width, height, maxval = sizes
     if maxval != 255:
         raise NetpbmError(f"unsupported maxval {maxval}; only 255 is supported")
+    if not data[pos:pos + 1].isspace():
+        raise NetpbmError("missing whitespace before payload")
     channels = 3 if magic == b"P6" else 1
-    raw = scanner.payload()
     expected = width * height * channels
-    if len(raw) < expected:
-        raise NetpbmError(
-            f"truncated payload: expected {expected} bytes, got {len(raw)}"
-        )
-    pixels = np.frombuffer(raw[:expected], dtype=np.uint8).reshape(height, width, channels)
+    got = len(data) - pos - 1
+    if got < expected:
+        raise NetpbmError(f"truncated payload: expected {expected} bytes, got {got}")
+    if got > expected:
+        raise NetpbmError(f"{got - expected} bytes after the raster")
+    pixels = np.frombuffer(data, np.uint8, expected, pos + 1).reshape(height, width, channels)
     # a PGM plane (channels == 1) becomes R, G and B as views, without copying
     return RgbImage(np.broadcast_to(pixels, (height, width, 3)))
 

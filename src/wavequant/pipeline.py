@@ -33,9 +33,9 @@ class MetricsRecord:
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
-    # round half away from zero, then clamp
-    rounded = np.floor(np.abs(values) + 0.5) * np.sign(values)
-    return np.clip(rounded, 0.0, 255.0).astype(np.uint8)
+    # round half up; as the clamp sends every negative value to 0, this equals
+    # rounding half away from zero
+    return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
 
 
 def process_plane(
@@ -46,6 +46,8 @@ def process_plane(
     levels is one L, giving one plane, or a sequence of L, giving a tuple of
     planes in that order; the forward DWT and each band's sort serve them all.
     """
+    if np.asarray(plane).dtype != np.uint8:
+        raise ValueError(f"plane must be uint8, got dtype {np.asarray(plane).dtype}")
     batch, single = level_batch(levels)
     fb = get_filter(wavelet)
     dec = dwt2d(plane, fb, depth)

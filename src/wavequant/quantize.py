@@ -114,9 +114,9 @@ def _overflow() -> ValueError:
 
 
 class _SortedBand:
-    """A coefficient set sorted once, so that every block [lo, hi) is the
-    slice values[rank(lo):rank(hi)].  Slice sums are kept: a block, tail or
-    moment that several L share is summed once."""
+    """A coefficient set sorted once, so that the blocks of sorted cuts are
+    the slices between consecutive edges(cuts).  Slice sums are kept: a
+    block, tail or moment that several L share is summed once."""
 
     def __init__(self, arr: np.ndarray) -> None:
         self.sorted = np.sort(arr)
@@ -124,9 +124,9 @@ class _SortedBand:
         self.size = arr.size
         self._sums: dict[tuple[int, int], float] = {}
 
-    def rank(self, cut: float) -> int:
-        """Number of values strictly below cut: the start of the block that cut opens."""
-        return int(np.searchsorted(self.sorted, cut, side="left"))
+    def edges(self, cuts: list[float]) -> list[int]:
+        """Block bounds of sorted cuts: 0, the count of values below each cut, the size."""
+        return [0, *np.searchsorted(self.sorted, cuts, side="left").tolist(), self.size]
 
     def mean(self, a: int, b: int) -> float:
         if (a, b) not in self._sums:
@@ -161,34 +161,29 @@ def _cuts(band: _SortedBand, top: int) -> dict[int, list[float]]:
     mean, std = band.mean_std(0, band.size)
     if std == 0.0:
         return {level: [] for level in LEVEL_CHOICES}
-    lo_edge = mean - std
-    hi_edge = mean + std
+    lo_edge, hi_edge = mean - std, mean + std
     cuts = [lo_edge, hi_edge]
     by_level = {3: sorted(cuts)}
     if top >= 5:
-        n = band.size
-        a, b = band.rank(lo_edge), band.rank(hi_edge)  # tails [0, a) and [b, n)
-        if a:
-            _append_cut(cuts, band.mean(0, a), -math.inf, lo_edge)
-        if b < n:
-            _append_cut(cuts, band.mean(b, n), hi_edge, math.inf)
+        _, a, b, n = band.edges(cuts)
+        # each nonempty tail: its slice, the interval its cuts fall in, the side of its L=7 cut
+        tails = [(0, a, -math.inf, lo_edge, -1.0), (b, n, hi_edge, math.inf, 1.0)]
+        tails = [tail for tail in tails if tail[0] < tail[1]]
+        for start, stop, lo, hi, _ in tails:
+            _append_cut(cuts, band.mean(start, stop), lo, hi)
         by_level[5] = sorted(cuts)
         if top == 7:
-            if a:
-                tail_mean, tail_std = band.mean_std(0, a)
+            for start, stop, lo, hi, side in tails:
+                tail_mean, tail_std = band.mean_std(start, stop)
                 if tail_std > 0.0:
-                    _append_cut(cuts, tail_mean - tail_std, -math.inf, lo_edge)
-            if b < n:
-                tail_mean, tail_std = band.mean_std(b, n)
-                if tail_std > 0.0:
-                    _append_cut(cuts, tail_mean + tail_std, hi_edge, math.inf)
+                    _append_cut(cuts, tail_mean + side * tail_std, lo, hi)
             by_level[7] = sorted(cuts)
     return by_level
 
 
 def _partition(band: _SortedBand, cuts: list[float]) -> BlockPartition:
     """One centroid per nonempty block; an empty block's span goes to a neighbor."""
-    edges = [0, *np.searchsorted(band.sorted, cuts, side="left").tolist(), band.size]
+    edges = band.edges(cuts)
     boundaries: list[float] = []
     representatives: list[float] = []
     for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):

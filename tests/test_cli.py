@@ -60,6 +60,16 @@ def test_invalid_level_is_usage_error(capsys):
     assert "levels must be in {3, 5, 7}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, bad", [("x", "x"), ("3, x ", "x"), ("3,,5", ""), ("", "")])
+def test_non_integer_level_is_usage_error(capsys, text, bad):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--levels", text, "--report", "r.csv", "x.ppm"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid level {bad!r}; levels must be in {{3, 5, 7}}" in err
+    assert err.startswith("usage: ")
+
+
 def test_module_entry_point_runs_main():
     env = dict(os.environ, PYTHONPATH=str(Path(wavequant.__file__).parents[1]))
     proc = subprocess.run(
@@ -272,6 +282,16 @@ def test_main_malformed_image_fails(tmp_path, capsys):
     rc = main(["--report", str(tmp_path / "r.csv"), str(bad)])
     assert rc == 1
     assert "maxval" in capsys.readouterr().err
+
+
+def test_main_trailing_bytes_fail_naming_the_file(tmp_path, capsys):
+    two = tmp_path / "two.ppm"
+    one = write_image(RgbImage(np.zeros((4, 4, 3), dtype=np.uint8)))
+    two.write_bytes(one + one)
+    rc = main(["--report", str(tmp_path / "r.csv"), str(two)])
+    assert rc == 1
+    assert f"{two}: {len(one)} bytes after the raster" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_main_indivisible_image_fails_with_context(tmp_path, capsys):

@@ -60,6 +60,70 @@ def test_read_rejects_truncated_payload():
         read_image(b"P6\n2 2\n255\n" + bytes(5))
 
 
+@pytest.mark.parametrize(
+    "tail, count",
+    [(b"extra", 5), (b"P6\n1 1\n255\n" + bytes(3), 14)],
+    ids=["bytes", "second_image"],
+)
+def test_read_rejects_bytes_after_raster(tail, count):
+    with pytest.raises(NetpbmError, match=f"^{count} bytes after the raster$"):
+        read_image(b"P6 2 2 255\n" + bytes(12) + tail)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P6 +2 1 255\n", "invalid width b'\\+2'"),
+        (b"P6 2 -1 255\n", "invalid height b'-1'"),
+        (b"P6 2 1 1_0\n", "invalid maxval b'1_0'"),
+        (b"P6 2 1 2_5_5\n", "invalid maxval b'2_5_5'"),
+        (b"P6 2 1 0x1\n", "invalid maxval b'0x1'"),
+        (b"P6 2 00 255\n", "invalid height 0; must be positive"),
+        (b"P6 " + b"1" * 5000 + b" 1 255\n", f"invalid width b'{'1' * 5000}'"),
+    ],
+    ids=["plus_sign", "minus_sign", "underscore", "underscores", "hex", "zero", "5000_digits"],
+)
+def test_read_numeric_fields_are_ascii_digits(header, message):
+    with pytest.raises(NetpbmError, match=f"^{message}$"):
+        read_image(header + bytes(6))
+
+
+WHITESPACE = {"space": b" ", "tab": b"\t", "lf": b"\n", "cr": b"\r", "vt": b"\x0b", "ff": b"\x0c"}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        *(ws.join([b"P6", b"2", b"1", b"255", b""]) for ws in WHITESPACE.values()),
+        b"#a\nP6#b\n#c\n2#d\n1 #e\n255\n",
+        b"P6 0002 01 0255\n",
+    ],
+    ids=[*WHITESPACE, "comment_before_each_field", "leading_zeros"],
+)
+def test_read_header_separators(header):
+    img = read_image(header + bytes(range(6)))
+    assert img.pixels.tolist() == [[[0, 1, 2], [3, 4, 5]]]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P6 2 1 255#c\n" + bytes(6), "missing whitespace before payload"),
+        (b"P6 2 1 255", "missing whitespace before payload"),
+        (b"P6\n2 1\n# comment at EOF", "missing maxval in header"),
+        (b"P6\n2#c", "missing height in header"),
+        (b"", "missing magic in header"),
+        (b"P3", "unsupported magic b'P3'; expected P5 or P6"),
+        (b"P6 2 1 255 " + bytes(5), "truncated payload: expected 6 bytes, got 5"),
+    ],
+    ids=["comment_after_maxval", "eof_after_maxval", "comment_at_eof", "comment_after_width",
+         "empty", "bad_magic_before_missing_width", "truncated"],
+)
+def test_read_header_error_order(data, message):
+    with pytest.raises(NetpbmError, match=f"^{message}$"):
+        read_image(data)
+
+
 # --- encoding ---
 
 def test_write_minimal_black_pixel():

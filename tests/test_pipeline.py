@@ -26,6 +26,24 @@ def test_config_rejects_bad_levels_and_depth():
         process_plane(plane, "db3", 1, 3)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16, bool])
+def test_process_plane_rejects_non_uint8_plane(dtype):
+    plane = np.full((16, 16), 300.7).astype(dtype)
+    with pytest.raises(ValueError, match=f"plane must be uint8, got dtype {np.dtype(dtype)}"):
+        process_plane(plane, DB2, 1, 3)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -0.5, -1.5, -2.5, 0.5, 1.5, 254.5, 255.5])
+def test_to_uint8_rounds_half_away_from_zero_then_clamps(value):
+    values = np.array([np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)])
+    reference = [
+        min(255, max(0, int(math.copysign(math.floor(abs(v) + 0.5), v)))) for v in values
+    ]
+    assert pipeline._to_uint8(values).tolist() == reference
+    exact = {0.5: 1, 1.5: 2, 254.5: 255, 255.5: 255}.get(value, 0)
+    assert pipeline._to_uint8(np.array([value])).tolist() == [exact]
+
+
 # --- process_plane / process_image ---
 
 @pytest.mark.parametrize("value", (0, 100, 255))
