@@ -3,8 +3,8 @@
 Per channel: forward DWT, threshold every detail sub-band of every level
 with its own statistics (the approximation is never touched), inverse DWT,
 round half away from zero, clamp to [0, 255].  For a sequence of L the
-forward DWT runs once and each sub-band is sorted once; only the inverse
-DWT runs per L.  Equal channels are processed once.
+forward DWT runs once and each sub-band's statistics are gathered once;
+only the inverse DWT runs per L.  Equal channels are processed once.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .quantize import level_batch, threshold_subband
 from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 
 PEAK = 255.0
+_BELOW_HALF = np.nextafter(0.5, 0.0)
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,13 @@ class MetricsRecord:
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
-    # round half up; as the clamp sends every negative value to 0, this equals
-    # rounding half away from zero
-    return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
+    # Round half up, exactly: floor(v + 0.5) maps nextafter(0.5, 0) to 1, as that
+    # float64 sum rounds up to 1.0, but floor(v + _BELOW_HALF) is floor(v + 0.5) of
+    # the real sum for every v >= 0.  As the clamp sends every negative value to 0,
+    # this equals rounding half away from zero.
+    rounded = values + _BELOW_HALF
+    np.floor(rounded, out=rounded)
+    return np.clip(rounded, 0.0, 255.0, out=rounded).astype(np.uint8)
 
 
 def process_plane(
@@ -44,7 +49,7 @@ def process_plane(
     """Transform, threshold all detail sub-bands, reconstruct one 2-D uint8 channel.
 
     levels is one L, giving one plane, or a sequence of L, giving a tuple of
-    planes in that order; the forward DWT and each band's sort serve them all.
+    planes in that order; the forward DWT and each band's statistics serve them all.
     """
     if np.asarray(plane).dtype != np.uint8:
         raise ValueError(f"plane must be uint8, got dtype {np.asarray(plane).dtype}")
@@ -108,16 +113,17 @@ def run_experiment(
 ) -> list[MetricsRecord]:
     """One MetricsRecord per (wavelet, levels) pair, wavelets outer, levels inner.
 
-    Each wavelet is one process_image call for the whole levels list.  Any
-    failure aborts the whole run, annotated with the image, the wavelet and
-    the levels.
+    levels_list is checked once, by level_batch, before any compute.  Each
+    wavelet is one process_image call for the whole levels list.  Any failure
+    aborts the whole run, annotated with the image, the wavelet and the levels.
     """
-    if not wavelets or not levels_list:
-        raise ValueError("wavelets and levels lists must be nonempty")
+    if not wavelets:
+        raise ValueError("wavelets list must be nonempty")
+    batch, _ = level_batch(levels_list)
     records = []
     for wavelet in wavelets:
         try:
-            recons = process_image(img, wavelet, depth, levels_list)
+            recons = process_image(img, wavelet, depth, batch)
             wavelet_records = [
                 MetricsRecord(
                     image_id=image_id,
@@ -126,12 +132,12 @@ def run_experiment(
                     psnr_db=psnr(img, recon),
                     size_bytes=encoded_size(recon),
                 )
-                for levels, recon in zip(levels_list, recons)
+                for levels, recon in zip(batch, recons)
             ]
         except Exception as err:
             raise RuntimeError(
                 f"processing failed for image={image_id} wavelet={wavelet} "
-                f"levels={','.join(map(str, levels_list))}: {err}"
+                f"levels={','.join(map(str, batch))}: {err}"
             ) from err
         records.extend(wavelet_records)
         if on_reconstruction is not None:

@@ -23,16 +23,22 @@ half-open [lo, hi): a coefficient equal to a boundary belongs to the upper
 block.  Empty blocks are merged away, which can only shrink the block
 count further.  A zero overall spread yields a single block.
 
-Each sub-band is sorted once.  A block [lo, hi) is then a contiguous slice
-of the sorted values, from the count of values below lo to the count below
-hi (np.searchsorted, side="left", so a tie goes to the upper block), and
-every mean, variance and centroid is a math.fsum over a slice.  fsum is
-exactly rounded, so its result does not depend on summation order: a slice
-sum equals, bit for bit, the sum of the same members in input order, and
-every output is invariant under permutation of the input.  Each slice is
-summed once for all requested L: the overall moments, the whole tails and
-the centre block serve L = 3, 5 and 7 alike, and the L = 3 tail centroid is
-the L = 5 tail-mean cut.  threshold_subband takes one L or a sequence of L.
+Every mean, variance and centroid divides an exactly rounded sum, equal
+bit for bit to math.fsum of the same values, by the member count.  The sum
+is exact integer arithmetic (exponent-binned accumulation after Demmel and
+Hida, "Accurate and efficient floating point summation", 2003): each value
+is split by its binary exponent into two 26-bit integer halves, one
+np.bincount per half adds them per (group, exponent) without rounding, and
+one Python int per group is rounded once to float64.  The result does not
+depend on summation order, so every output is invariant under permutation
+of the input.  Unlike fsum, a sum raises only when its exact value
+overflows float64, never for an overflowing partial sum.
+
+A value's block is the count of cuts at or below it, so a tie goes to the
+upper block.  The cuts nest, so each band gets one block index under the
+finest requested cuts; the blocks of a coarser L are unions of those fine
+blocks, whose exact sums add, and each L maps the band through a table of
+at most 7 centroids.  threshold_subband takes one L or a sequence of L.
 
 Input contract, checked once per public call: a nonempty set of finite
 coefficients; L in LEVEL_CHOICES, or a nonempty sequence of distinct such L;
@@ -113,41 +119,89 @@ def _overflow() -> ValueError:
     return ValueError("coefficient statistics overflow float64")
 
 
-class _SortedBand:
-    """A coefficient set sorted once, so that the blocks of sorted cuts are
-    the slices between consecutive edges(cuts).  Slice sums are kept: a
-    block, tail or moment that several L share is summed once."""
+# A finite float64 x is m * 2**(e - 53), where (m / 2**53, e) = frexp(x) and m is an
+# integer with |m| < 2**53.  Its halves m = high * 2**26 + low have |high| <= 2**27
+# and 0 <= low < 2**26, so a float64 sum of either half over at most _CHUNK values
+# is an exact integer.
+_CHUNK = 1 << 26
 
-    def __init__(self, arr: np.ndarray) -> None:
-        self.sorted = np.sort(arr)
-        self.values = self.sorted.tolist()
-        self.size = arr.size
-        self._sums: dict[tuple[int, int], float] = {}
 
-    def edges(self, cuts: list[float]) -> list[int]:
-        """Block bounds of sorted cuts: 0, the count of values below each cut, the size."""
-        return [0, *np.searchsorted(self.sorted, cuts, side="left").tolist(), self.size]
+class _Summands:
+    """Values split once, so that the sum of any group of them is exact."""
 
-    def mean(self, a: int, b: int) -> float:
-        if (a, b) not in self._sums:
-            try:
-                self._sums[a, b] = math.fsum(self.values[a:b])
-            except OverflowError:
-                raise _overflow() from None
-        return self._sums[a, b] / (b - a)
+    def __init__(self, values: np.ndarray) -> None:
+        mant, exp = np.frexp(values)
+        lowest = int(exp.min())
+        self.span = int(exp.max()) - lowest + 1
+        self.shift = lowest - 53
+        exp -= lowest
+        self.bins = exp
+        # high = floor(m / 2**26) and low = m - high * 2**26, computed in place
+        self.high = np.floor(np.ldexp(mant, 27))
+        self.low = np.ldexp(mant, 27, out=mant)
+        self.low -= self.high
+        self.low *= 2.0**26
 
-    def mean_std(self, a: int, b: int) -> tuple[float, float]:
-        """Population moments of values[a:b]: mean = sum(c)/N, std = sqrt(sum((c-mean)^2)/N)."""
-        mean = self.mean(a, b)
-        with np.errstate(over="ignore"):
-            squares = ((self.sorted[a:b] - mean) ** 2).tolist()
+    def totals(self, groups: np.ndarray | None = None, count: int = 1) -> list[int]:
+        """The exact sum of each group 0..count-1 (all values when groups is None),
+        as an int t standing for t * 2**shift."""
+        if groups is None:
+            keys = self.bins
+        else:
+            keys = np.multiply(groups, self.span, dtype=np.intp)
+            keys += self.bins
+        totals = [0] * count
+        for start in range(0, keys.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            highs, lows = (
+                np.bincount(keys[chunk], half[chunk], count * self.span).reshape(count, -1)
+                for half in (self.high, self.low)
+            )
+            group, exp = np.nonzero((highs != 0) | (lows != 0))
+            for g, e, high, low in zip(
+                group.tolist(), exp.tolist(), highs[group, exp].tolist(), lows[group, exp].tolist()
+            ):
+                totals[g] += ((int(high) << 26) + int(low)) << e
+        return totals
+
+    def round(self, total: int) -> float:
+        """total * 2**shift, correctly rounded like math.fsum: int true division
+        and int-to-float conversion round once, and zero is +0.0."""
         try:
-            var = math.fsum(squares) / (b - a)
+            return float(total << self.shift) if self.shift >= 0 else total / (1 << -self.shift)
         except OverflowError:
             raise _overflow() from None
-        if not math.isfinite(var):
-            raise _overflow()
-        return mean, math.sqrt(var)
+
+    def means(
+        self, groups: np.ndarray | None = None, sizes: list[int] | None = None
+    ) -> list[float]:
+        """Mean of each group of the given sizes (of all values when groups is None);
+        0.0 stands in for an empty group."""
+        if groups is None:
+            sizes = [self.bins.size]
+        totals = self.totals(groups, len(sizes))
+        return [self.round(t) / k if k else 0.0 for t, k in zip(totals, sizes)]
+
+
+def _stds(
+    deviations: np.ndarray, groups: np.ndarray | None = None, sizes: list[int] | None = None
+) -> list[float]:
+    """Population std of each group from its members' deviations from the group mean,
+    which are squared in place."""
+    with np.errstate(over="ignore"):
+        squares = np.square(deviations, out=deviations)
+    if not math.isfinite(squares.max()):
+        raise _overflow()
+    return [math.sqrt(v) for v in _Summands(squares).means(groups, sizes)]
+
+
+def _block_index(arr: np.ndarray, cuts: list[float]) -> np.ndarray:
+    """Each value's block under sorted cuts: the count of cuts at or below it, so a
+    tie goes to the upper block."""
+    index = np.zeros(arr.shape, dtype=np.uint8)
+    for cut in cuts:
+        index += arr >= cut
+    return index
 
 
 def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
@@ -156,43 +210,68 @@ def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
         cuts.append(value)
 
 
-def _cuts(band: _SortedBand, top: int) -> dict[int, list[float]]:
+def _cuts(arr: np.ndarray, parts: _Summands, top: int) -> dict[int, list[float]]:
     """Sorted raw cuts of every L up to top; each L extends the cuts of the one below."""
-    mean, std = band.mean_std(0, band.size)
+    (mean,) = parts.means()
+    (std,) = _stds(arr - mean)
     if std == 0.0:
         return {level: [] for level in LEVEL_CHOICES}
     lo_edge, hi_edge = mean - std, mean + std
     cuts = [lo_edge, hi_edge]
     by_level = {3: sorted(cuts)}
     if top >= 5:
-        _, a, b, n = band.edges(cuts)
-        # each nonempty tail: its slice, the interval its cuts fall in, the side of its L=7 cut
-        tails = [(0, a, -math.inf, lo_edge, -1.0), (b, n, hi_edge, math.inf, 1.0)]
-        tails = [tail for tail in tails if tail[0] < tail[1]]
-        for start, stop, lo, hi, _ in tails:
-            _append_cut(cuts, band.mean(start, stop), lo, hi)
+        tail = _block_index(arr, cuts)  # 0 below mu - sigma, 2 at or above mu + sigma
+        sizes = np.bincount(tail, minlength=3).tolist()
+        means = parts.means(tail, sizes)
+        # each nonempty tail: its group, the interval its cuts fall in, the side of its L=7 cut
+        tails = [(0, -math.inf, lo_edge, -1.0), (2, hi_edge, math.inf, 1.0)]
+        tails = [t for t in tails if sizes[t[0]]]
+        for group, lo, hi, _ in tails:
+            _append_cut(cuts, means[group], lo, hi)
         by_level[5] = sorted(cuts)
         if top == 7:
-            for start, stop, lo, hi, side in tails:
-                tail_mean, tail_std = band.mean_std(start, stop)
-                if tail_std > 0.0:
-                    _append_cut(cuts, tail_mean + side * tail_std, lo, hi)
+            # the centre keeps its deviations from mu, whose squares are known to fit
+            means[1] = mean
+            stds = _stds(arr - np.array(means)[tail], tail, sizes)
+            for group, lo, hi, side in tails:
+                if stds[group] > 0.0:
+                    _append_cut(cuts, means[group] + side * stds[group], lo, hi)
             by_level[7] = sorted(cuts)
     return by_level
 
 
-def _partition(band: _SortedBand, cuts: list[float]) -> BlockPartition:
-    """One centroid per nonempty block; an empty block's span goes to a neighbor."""
-    edges = band.edges(cuts)
-    boundaries: list[float] = []
-    representatives: list[float] = []
-    for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        if a == b:
-            continue
-        if representatives:
-            boundaries.append(cuts[block - 1])
-        representatives.append(band.mean(a, b))
-    return BlockPartition(np.array(boundaries), np.array(representatives))
+def _quantizers(
+    arr: np.ndarray, batch: tuple[int, ...]
+) -> tuple[np.ndarray, list[tuple[BlockPartition, np.ndarray]]]:
+    """The block index of every value under the finest cuts in batch, and for each
+    L its partition and the centroid it gives each of those fine blocks.
+
+    The cuts nest, so each L block is a union of fine blocks: its size and exact
+    sum add up theirs.  An empty block's span goes to a neighbor.
+    """
+    parts = _Summands(arr)
+    by_level = _cuts(arr, parts, max(batch))
+    fine = by_level[max(batch)]
+    index = _block_index(arr, fine)
+    sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
+    totals = parts.totals(index, len(fine) + 1)
+    quantizers = []
+    for level in batch:
+        cuts = by_level[level]
+        # owner[f]: the L block of fine block f, the count of L cuts at or below its lower end
+        owner = [0, *np.searchsorted(cuts, fine, side="right").tolist()]
+        block_sizes, block_totals = [0] * (len(cuts) + 1), [0] * (len(cuts) + 1)
+        for block, size, total in zip(owner, sizes, totals):
+            block_sizes[block] += size
+            block_totals[block] += total
+        centroids = [parts.round(t) / k if k else 0.0 for t, k in zip(block_totals, block_sizes)]
+        used = [block for block, size in enumerate(block_sizes) if size]
+        partition = BlockPartition(
+            np.array([cuts[block - 1] for block in used[1:]]),
+            np.array([centroids[block] for block in used]),
+        )
+        quantizers.append((partition, np.array(centroids)[owner]))
+    return index, quantizers
 
 
 def threshold_cuts(coeffs, levels: int) -> list[float]:
@@ -201,14 +280,15 @@ def threshold_cuts(coeffs, levels: int) -> list[float]:
     Returned sorted ascending; nested across levels for fixed input.
     """
     _check_level(levels)
-    return _cuts(_SortedBand(_checked(coeffs)), levels)[levels]
+    arr = _checked(coeffs)
+    return _cuts(arr, _Summands(arr), levels)[levels]
 
 
 def build_partition(coeffs, levels: int) -> BlockPartition:
     """Partition the coefficients into at most L centroid blocks."""
     _check_level(levels)
-    band = _SortedBand(_checked(coeffs))
-    return _partition(band, _cuts(band, levels)[levels])
+    _, [(partition, _)] = _quantizers(_checked(coeffs), (levels,))
+    return partition
 
 
 def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
@@ -224,15 +304,10 @@ def threshold_subband(
     """Threshold one sub-band with its own statistics; each result has mat's shape.
 
     levels is one L, giving one array, or a sequence of L, giving a tuple
-    with one array per L in that order.  The band is checked and sorted
-    once for all of them.
+    with one array per L in that order.  The band is checked, summed and
+    indexed once for all of them.
     """
     batch, single = level_batch(levels)
-    arr = _checked(mat)
-    band = _SortedBand(arr)
-    cuts = _cuts(band, max(batch))
-    results = tuple(
-        apply_partition(arr, _partition(band, cuts[level])).reshape(np.shape(mat))
-        for level in batch
-    )
+    index, quantizers = _quantizers(_checked(mat), batch)
+    results = tuple(table[index].reshape(np.shape(mat)) for _, table in quantizers)
     return results[0] if single else results

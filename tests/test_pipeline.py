@@ -1,6 +1,7 @@
 """End-to-end per-image processing and the PSNR metric."""
 
 import math
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
@@ -36,12 +37,16 @@ def test_process_plane_rejects_non_uint8_plane(dtype):
 @pytest.mark.parametrize("value", [0.0, -0.0, -0.5, -1.5, -2.5, 0.5, 1.5, 254.5, 255.5])
 def test_to_uint8_rounds_half_away_from_zero_then_clamps(value):
     values = np.array([np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)])
+    # Decimal(v) is exact, and ROUND_HALF_UP rounds half away from zero
     reference = [
-        min(255, max(0, int(math.copysign(math.floor(abs(v) + 0.5), v)))) for v in values
+        min(255, max(0, int(Decimal(v).quantize(Decimal(1), rounding=ROUND_HALF_UP))))
+        for v in values
     ]
     assert pipeline._to_uint8(values).tolist() == reference
     exact = {0.5: 1, 1.5: 2, 254.5: 255, 255.5: 255}.get(value, 0)
     assert pipeline._to_uint8(np.array([value])).tolist() == [exact]
+    # 0.49999999999999994 + 0.5 rounds to 1.0 in float64; the rule must not add first
+    assert pipeline._to_uint8(np.array([np.nextafter(0.5, 0)])).tolist() == [0]
 
 
 # --- process_plane / process_image ---
@@ -143,6 +148,14 @@ def test_run_experiment_psnr_improves_with_more_levels(small_natural_image):
 def test_run_experiment_rejects_empty_lists(small_natural_image):
     with pytest.raises(ValueError, match="nonempty"):
         run_experiment(small_natural_image, "x", [], [3], 1)
+
+
+def test_run_experiment_checks_levels_once_before_any_compute(small_natural_image, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"levels must name at least one L, got \[\]"):
+        run_experiment(small_natural_image, "x", [DB2], [], 1)
+    assert calls == []
 
 
 def test_run_experiment_error_carries_context():

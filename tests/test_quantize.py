@@ -1,6 +1,8 @@
 """Quantizer: statistics, input contract, partitions, application, oracle equality."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wavequant import quantize
 from wavequant.quantize import (
     LEVEL_CHOICES,
     apply_partition,
@@ -297,3 +300,68 @@ def test_property_cuts_nest(coeffs):
     c3, c5, c7 = (set(threshold_cuts(coeffs, levels)) for levels in (3, 5, 7))
     assert c3 <= c5 <= c7
 
+
+
+# --- exact sums against math.fsum ---
+
+SUMMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # all of float64, subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def grouped_summands(draw):
+    """Values, with exact cancellation when each is joined by its negation, and a
+    group 0..2 for each value."""
+    values = draw(st.lists(SUMMANDS, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        values += [-v for v in values]
+    values = draw(st.permutations(values))
+    groups = draw(st.lists(st.integers(0, 2), min_size=len(values), max_size=len(values)))
+    return values, groups
+
+
+def reference_sum(values):
+    """math.fsum(values) as hex, or "overflow".  fsum also raises when only a partial
+    sum overflows, which depends on the order (fsum([1e308, 1e308, -1e308]) raises,
+    fsum([1e308, -1e308, 1e308]) does not); then the exact Fraction sum decides."""
+    try:
+        return math.fsum(values).hex()
+    except OverflowError:
+        try:
+            return float(sum(map(Fraction, values), Fraction(0))).hex()
+        except OverflowError:
+            return "overflow"
+
+
+def exact_sum(parts, total):
+    try:
+        return parts.round(total).hex()
+    except ValueError as err:
+        assert str(err) == "coefficient statistics overflow float64"
+        return "overflow"
+
+
+@pytest.mark.parametrize("chunk", (quantize._CHUNK, 7), ids=("one-chunk", "chunks-of-7"))
+@settings(derandomize=True, deadline=None)
+@given(grouped_summands())
+def test_property_exact_sums_match_fsum(chunk, data):
+    values, groups = data
+    with mock.patch.object(quantize, "_CHUNK", chunk):
+        parts = quantize._Summands(np.array(values))
+        (total,) = parts.totals()
+        grouped = parts.totals(np.array(groups, dtype=np.uint8), 3)
+    assert exact_sum(parts, total) == reference_sum(values)
+    for group, group_total in enumerate(grouped):
+        members = [v for v, g in zip(values, groups) if g == group]
+        assert exact_sum(parts, group_total) == reference_sum(members)
+
+
+def test_exact_sum_ignores_partial_overflow_but_statistics_still_overflow():
+    for values in ([1e308, 1e308, -1e308], [-1e308, 1e308, 1e308]):
+        parts = quantize._Summands(np.array(values))
+        assert parts.round(*parts.totals()) == 1e308
+        with pytest.raises(ValueError, match="overflow"):  # the squared deviations do not fit
+            threshold_cuts(values, 3)
