@@ -16,12 +16,14 @@ Each stage refines the previous one, so the cut sets nest
           tail at mean + sigma of that tail's members, placing one extra
           cut toward each extreme.
 
-A candidate cut is dropped when it is degenerate (zero spread) or does not
-fall strictly inside its tail's interval, so the boundary list stays
-strictly increasing and the block count never exceeds L.  Blocks are
-half-open [lo, hi): a coefficient equal to a boundary belongs to the upper
-block.  Empty blocks are merged away, which can only shrink the block
-count further.  A zero overall spread yields a single block.
+A tail cut is dropped when it is degenerate (zero spread), does not fall
+strictly inside its tail's interval or repeats a cut, so the block count
+never exceeds L.  The raw L = 3 pair itself can coincide: when sigma is
+below half an ulp of mu, mu - sigma and mu + sigma round to one float and
+the center block is empty.  Blocks are half-open [lo, hi): a coefficient
+equal to a boundary belongs to the upper block.  Empty blocks are merged
+away, so BlockPartition boundaries are strictly increasing, and the block
+count can only shrink further.  A zero overall spread yields a single block.
 
 Every mean, variance and centroid divides an exactly rounded sum, equal
 bit for bit to math.fsum of the same values, by the member count.  The sum
@@ -35,10 +37,13 @@ of the input.  Unlike fsum, a sum raises only when its exact value
 overflows float64, never for an overflowing partial sum.
 
 A value's block is the count of cuts at or below it, so a tie goes to the
-upper block.  The cuts nest, so each band gets one block index under the
-finest requested cuts; the blocks of a coarser L are unions of those fine
-blocks, whose exact sums add, and each L maps the band through a table of
-at most 7 centroids.  threshold_subband takes one L or a sequence of L.
+upper block.  The cuts nest, so one refinement pass builds a band's block
+index in place: all zeros for the overall moments, then one added per
+mu -/+ sigma cut for the tail moments, then one per surviving tail cut up
+to the finest requested L.  The blocks of a coarser L are unions of those
+fine blocks, whose exact sums add, so each L maps the band through a table
+of at most 7 centroids.  threshold_subband takes one L or a sequence of L
+and builds tables only; a BlockPartition is built by build_partition alone.
 
 Input contract, checked once per public call: a nonempty set of finite
 coefficients; L in LEVEL_CHOICES, or a nonempty sequence of distinct such L;
@@ -142,14 +147,10 @@ class _Summands:
         self.low -= self.high
         self.low *= 2.0**26
 
-    def totals(self, groups: np.ndarray | None = None, count: int = 1) -> list[int]:
-        """The exact sum of each group 0..count-1 (all values when groups is None),
-        as an int t standing for t * 2**shift."""
-        if groups is None:
-            keys = self.bins
-        else:
-            keys = np.multiply(groups, self.span, dtype=np.intp)
-            keys += self.bins
+    def totals(self, groups: np.ndarray, count: int) -> list[int]:
+        """The exact sum of each group 0..count-1, as an int t standing for t * 2**shift."""
+        keys = np.multiply(groups, self.span, dtype=np.intp)
+        keys += self.bins
         totals = [0] * count
         for start in range(0, keys.size, _CHUNK):
             chunk = slice(start, start + _CHUNK)
@@ -172,106 +173,63 @@ class _Summands:
         except OverflowError:
             raise _overflow() from None
 
-    def means(
-        self, groups: np.ndarray | None = None, sizes: list[int] | None = None
-    ) -> list[float]:
-        """Mean of each group of the given sizes (of all values when groups is None);
-        0.0 stands in for an empty group."""
-        if groups is None:
-            sizes = [self.bins.size]
-        totals = self.totals(groups, len(sizes))
+    def means(self, totals: list[int], sizes: list[int]) -> list[float]:
+        """Each exact total over its count; 0.0 stands in for an empty group."""
         return [self.round(t) / k if k else 0.0 for t, k in zip(totals, sizes)]
 
 
-def _stds(
-    deviations: np.ndarray, groups: np.ndarray | None = None, sizes: list[int] | None = None
-) -> list[float]:
+def _stds(deviations: np.ndarray, groups: np.ndarray, sizes: list[int]) -> list[float]:
     """Population std of each group from its members' deviations from the group mean,
     which are squared in place."""
     with np.errstate(over="ignore"):
         squares = np.square(deviations, out=deviations)
     if not math.isfinite(squares.max()):
         raise _overflow()
-    return [math.sqrt(v) for v in _Summands(squares).means(groups, sizes)]
+    parts = _Summands(squares)
+    return [math.sqrt(v) for v in parts.means(parts.totals(groups, len(sizes)), sizes)]
 
 
-def _block_index(arr: np.ndarray, cuts: list[float]) -> np.ndarray:
-    """Each value's block under sorted cuts: the count of cuts at or below it, so a
-    tie goes to the upper block."""
+def _refine(arr: np.ndarray, top: int) -> tuple[_Summands, dict[int, list[float]], np.ndarray]:
+    """The summands of arr, the sorted raw cuts of every L up to top, and each value's
+    block under the cuts of top: the count of those cuts at or below it.
+
+    Each L extends the cuts of the one below, so one index grows in place: all
+    zeros for the overall moments, then 0, 1, 2 below, inside and at or above
+    mu -/+ sigma for the tails, then one more for each tail cut that survives.
+    """
+    parts = _Summands(arr)
     index = np.zeros(arr.shape, dtype=np.uint8)
+    (mean,) = parts.means(parts.totals(index, 1), [arr.size])
+    (std,) = _stds(arr - mean, index, [arr.size])
+    if std == 0.0:
+        return parts, {level: [] for level in LEVEL_CHOICES}, index
+    cuts = [mean - std, mean + std]
+    by_level = {3: cuts.copy()}
     for cut in cuts:
         index += arr >= cut
-    return index
-
-
-def _append_cut(cuts: list[float], value: float, lo: float, hi: float) -> None:
-    # keep only cuts strictly inside (lo, hi) and distinct from existing ones
-    if lo < value < hi and value not in cuts:
-        cuts.append(value)
-
-
-def _cuts(arr: np.ndarray, parts: _Summands, top: int) -> dict[int, list[float]]:
-    """Sorted raw cuts of every L up to top; each L extends the cuts of the one below."""
-    (mean,) = parts.means()
-    (std,) = _stds(arr - mean)
-    if std == 0.0:
-        return {level: [] for level in LEVEL_CHOICES}
-    lo_edge, hi_edge = mean - std, mean + std
-    cuts = [lo_edge, hi_edge]
-    by_level = {3: sorted(cuts)}
     if top >= 5:
-        tail = _block_index(arr, cuts)  # 0 below mu - sigma, 2 at or above mu + sigma
-        sizes = np.bincount(tail, minlength=3).tolist()
-        means = parts.means(tail, sizes)
+        sizes = np.bincount(index, minlength=3).tolist()
+        means = parts.means(parts.totals(index, 3), sizes)
         # each nonempty tail: its group, the interval its cuts fall in, the side of its L=7 cut
-        tails = [(0, -math.inf, lo_edge, -1.0), (2, hi_edge, math.inf, 1.0)]
+        tails = [(0, -math.inf, cuts[0], -1.0), (2, cuts[1], math.inf, 1.0)]
         tails = [t for t in tails if sizes[t[0]]]
-        for group, lo, hi, _ in tails:
-            _append_cut(cuts, means[group], lo, hi)
-        by_level[5] = sorted(cuts)
+        candidates = {5: [(means[group], lo, hi) for group, lo, hi, _ in tails]}
         if top == 7:
             # the centre keeps its deviations from mu, whose squares are known to fit
             means[1] = mean
-            stds = _stds(arr - np.array(means)[tail], tail, sizes)
-            for group, lo, hi, side in tails:
-                if stds[group] > 0.0:
-                    _append_cut(cuts, means[group] + side * stds[group], lo, hi)
-            by_level[7] = sorted(cuts)
-    return by_level
-
-
-def _quantizers(
-    arr: np.ndarray, batch: tuple[int, ...]
-) -> tuple[np.ndarray, list[tuple[BlockPartition, np.ndarray]]]:
-    """The block index of every value under the finest cuts in batch, and for each
-    L its partition and the centroid it gives each of those fine blocks.
-
-    The cuts nest, so each L block is a union of fine blocks: its size and exact
-    sum add up theirs.  An empty block's span goes to a neighbor.
-    """
-    parts = _Summands(arr)
-    by_level = _cuts(arr, parts, max(batch))
-    fine = by_level[max(batch)]
-    index = _block_index(arr, fine)
-    sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
-    totals = parts.totals(index, len(fine) + 1)
-    quantizers = []
-    for level in batch:
-        cuts = by_level[level]
-        # owner[f]: the L block of fine block f, the count of L cuts at or below its lower end
-        owner = [0, *np.searchsorted(cuts, fine, side="right").tolist()]
-        block_sizes, block_totals = [0] * (len(cuts) + 1), [0] * (len(cuts) + 1)
-        for block, size, total in zip(owner, sizes, totals):
-            block_sizes[block] += size
-            block_totals[block] += total
-        centroids = [parts.round(t) / k if k else 0.0 for t, k in zip(block_totals, block_sizes)]
-        used = [block for block, size in enumerate(block_sizes) if size]
-        partition = BlockPartition(
-            np.array([cuts[block - 1] for block in used[1:]]),
-            np.array([centroids[block] for block in used]),
-        )
-        quantizers.append((partition, np.array(centroids)[owner]))
-    return index, quantizers
+            stds = _stds(arr - np.array(means)[index], index, sizes)
+            candidates[7] = [
+                (means[group] + side * stds[group], lo, hi)
+                for group, lo, hi, side in tails
+                if stds[group] > 0.0
+            ]
+        for level, refinement in candidates.items():
+            for cut, lo, hi in refinement:
+                if lo < cut < hi and cut not in cuts:
+                    cuts.append(cut)
+                    index += arr >= cut
+            by_level[level] = sorted(cuts)
+    return parts, by_level, index
 
 
 def threshold_cuts(coeffs, levels: int) -> list[float]:
@@ -280,15 +238,22 @@ def threshold_cuts(coeffs, levels: int) -> list[float]:
     Returned sorted ascending; nested across levels for fixed input.
     """
     _check_level(levels)
-    arr = _checked(coeffs)
-    return _cuts(arr, _Summands(arr), levels)[levels]
+    return _refine(_checked(coeffs), levels)[1][levels]
 
 
 def build_partition(coeffs, levels: int) -> BlockPartition:
-    """Partition the coefficients into at most L centroid blocks."""
+    """Partition the coefficients into at most L centroid blocks; an empty block's
+    span goes to a neighbor."""
     _check_level(levels)
-    _, [(partition, _)] = _quantizers(_checked(coeffs), (levels,))
-    return partition
+    parts, by_level, index = _refine(_checked(coeffs), levels)
+    cuts = by_level[levels]
+    sizes = np.bincount(index, minlength=len(cuts) + 1).tolist()
+    centroids = parts.means(parts.totals(index, len(sizes)), sizes)
+    used = [block for block, size in enumerate(sizes) if size]
+    return BlockPartition(
+        np.array([cuts[block - 1] for block in used[1:]]),
+        np.array([centroids[block] for block in used]),
+    )
 
 
 def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
@@ -308,6 +273,19 @@ def threshold_subband(
     indexed once for all of them.
     """
     batch, single = level_batch(levels)
-    index, quantizers = _quantizers(_checked(mat), batch)
-    results = tuple(table[index].reshape(np.shape(mat)) for _, table in quantizers)
-    return results[0] if single else results
+    parts, by_level, index = _refine(_checked(mat), max(batch))
+    fine = by_level[max(batch)]
+    sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
+    totals = parts.totals(index, len(sizes))
+    results = []
+    for level in batch:
+        cuts = by_level[level]
+        # owner[f]: the L block of fine block f, the count of L cuts at or below its lower end
+        owner = [0, *np.searchsorted(cuts, fine, side="right").tolist()]
+        block_sizes, block_totals = [0] * (len(cuts) + 1), [0] * (len(cuts) + 1)
+        for block, size, total in zip(owner, sizes, totals):
+            block_sizes[block] += size
+            block_totals[block] += total
+        table = np.array(parts.means(block_totals, block_sizes))[owner]
+        results.append(table[index].reshape(np.shape(mat)))
+    return results[0] if single else tuple(results)

@@ -122,6 +122,18 @@ def test_partition_rejects_bad_levels():
         build_partition([], 3)
 
 
+def test_coinciding_mu_sigma_cuts_leave_one_block():
+    # sigma is below half an ulp of mu, so mu - sigma and mu + sigma round to one float
+    coeffs = [1e16] * 5 + [1e16 + 2]
+    assert threshold_cuts(coeffs, 3) == [1e16, 1e16]
+    for levels in (3, 5, 7):
+        assert threshold_cuts(coeffs, levels) == oracle_cuts(coeffs, levels)
+        part = build_partition(coeffs, levels)
+        assert part.boundaries.size == 0
+        assert part.representatives.tolist() == [1e16]
+        assert threshold_subband(coeffs, levels).tolist() == oracle_threshold(coeffs, levels)
+
+
 def test_block_count_bounded_by_levels():
     rng = np.random.default_rng(0)
     for levels in (3, 5, 7):
@@ -290,8 +302,9 @@ def test_property_threshold_matches_oracle(coeffs):
     for levels in (3, 5, 7):
         assert threshold_cuts(coeffs, levels) == oracle_cuts(coeffs, levels)
         assert threshold_subband(coeffs, levels).tolist() == oracle_threshold(coeffs, levels)
-    for levels, out in zip((3, 5, 7), threshold_subband(coeffs, (3, 5, 7))):
-        assert out.tolist() == oracle_threshold(coeffs, levels)
+    for batch in ((3, 5, 7), (3, 5), (5, 7)):
+        for levels, out in zip(batch, threshold_subband(coeffs, batch)):
+            assert out.tolist() == oracle_threshold(coeffs, levels)
 
 
 @settings(derandomize=True, deadline=None)
@@ -351,7 +364,7 @@ def test_property_exact_sums_match_fsum(chunk, data):
     values, groups = data
     with mock.patch.object(quantize, "_CHUNK", chunk):
         parts = quantize._Summands(np.array(values))
-        (total,) = parts.totals()
+        (total,) = parts.totals(np.zeros(len(values), np.uint8), 1)
         grouped = parts.totals(np.array(groups, dtype=np.uint8), 3)
     assert exact_sum(parts, total) == reference_sum(values)
     for group, group_total in enumerate(grouped):
@@ -362,6 +375,6 @@ def test_property_exact_sums_match_fsum(chunk, data):
 def test_exact_sum_ignores_partial_overflow_but_statistics_still_overflow():
     for values in ([1e308, 1e308, -1e308], [-1e308, 1e308, 1e308]):
         parts = quantize._Summands(np.array(values))
-        assert parts.round(*parts.totals()) == 1e308
+        assert parts.round(*parts.totals(np.zeros(len(values), np.uint8), 1)) == 1e308
         with pytest.raises(ValueError, match="overflow"):  # the squared deviations do not fit
             threshold_cuts(values, 3)
