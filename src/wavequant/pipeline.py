@@ -5,11 +5,17 @@ with its own statistics (the approximation is never touched), inverse DWT,
 round half away from zero, clamp to [0, 255].  For a sequence of L the
 forward DWT runs once and each sub-band's statistics are gathered once;
 only the inverse DWT runs per L.  Equal channels are processed once.
+
+run_experiment overlaps DEFLATE sizing with compute: each wavelet's
+encoded_size calls run on background threads (zlib releases the GIL) while
+the calling thread computes the next wavelet.  Records and callbacks are
+made one wavelet behind the compute, on the calling thread, in grid order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,6 +28,7 @@ from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 
 PEAK = 255.0
 _BELOW_HALF = np.nextafter(0.5, 0.0)
+_SIZE_THREADS = 2  # encoded_size calls that may run at once
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,36 @@ def psnr(orig: RgbImage, recon: RgbImage) -> float:
     return 10.0 * math.log10(PEAK * PEAK / mse)
 
 
+class _Size:
+    """encoded_size(image) on a daemon thread that holds one of the slots while it runs."""
+
+    def __init__(self, image: RgbImage, slots: threading.Semaphore) -> None:
+        self._result: int | BaseException = 0
+        self.thread = threading.Thread(target=self._run, args=(image, slots), daemon=True)
+        self.thread.start()
+
+    def _run(self, image: RgbImage, slots: threading.Semaphore) -> None:
+        with slots:
+            try:
+                self._result = encoded_size(image)
+            except BaseException as err:
+                self._result = err
+
+    def result(self) -> int:
+        """The size, once the thread is done; an error it met is raised here."""
+        self.thread.join()
+        if isinstance(self._result, BaseException):
+            raise self._result
+        return self._result
+
+
+def _failure(image_id: str, wavelet: str, batch: Sequence[int], err: Exception) -> RuntimeError:
+    return RuntimeError(
+        f"processing failed for image={image_id} wavelet={wavelet} "
+        f"levels={','.join(map(str, batch))}: {err}"
+    )
+
+
 def run_experiment(
     img: RgbImage,
     image_id: str,
@@ -114,33 +151,56 @@ def run_experiment(
     """One MetricsRecord per (wavelet, levels) pair, wavelets outer, levels inner.
 
     levels_list is checked once, by level_batch, before any compute.  Each
-    wavelet is one process_image call for the whole levels list.  Any failure
-    aborts the whole run, annotated with the image, the wavelet and the levels.
+    wavelet is one process_image call for the whole levels list.  Its
+    reconstructions' encoded_size calls start on background threads, at most
+    _SIZE_THREADS at once, while the calling thread computes the next wavelet.
+    Only then are the wavelet's records made and on_reconstruction called, on
+    the calling thread and in grid order, so a failing wavelet still follows
+    the callbacks of the one before it.  Any failure, also one met on a
+    background thread, aborts the whole run, annotated with the image, the
+    wavelet and the levels.  No background thread outlives the call.
     """
     if not wavelets:
         raise ValueError("wavelets list must be nonempty")
     batch, _ = level_batch(levels_list)
-    records = []
-    for wavelet in wavelets:
+    slots = threading.Semaphore(_SIZE_THREADS)
+    started: list[_Size] = []
+    records: list[MetricsRecord] = []
+
+    def deliver(wavelet: str, recons: tuple[RgbImage, ...], psnrs: list[float],
+                sizes: list[_Size]) -> None:
         try:
-            recons = process_image(img, wavelet, depth, batch)
-            wavelet_records = [
-                MetricsRecord(
-                    image_id=image_id,
-                    wavelet=wavelet,
-                    levels=levels,
-                    psnr_db=psnr(img, recon),
-                    size_bytes=encoded_size(recon),
-                )
-                for levels, recon in zip(batch, recons)
-            ]
+            size_bytes = [size.result() for size in sizes]
         except Exception as err:
-            raise RuntimeError(
-                f"processing failed for image={image_id} wavelet={wavelet} "
-                f"levels={','.join(map(str, batch))}: {err}"
-            ) from err
+            raise _failure(image_id, wavelet, batch, err) from err
+        wavelet_records = [
+            MetricsRecord(
+                image_id=image_id, wavelet=wavelet, levels=levels, psnr_db=psnr_db, size_bytes=size
+            )
+            for levels, psnr_db, size in zip(batch, psnrs, size_bytes)
+        ]
         records.extend(wavelet_records)
         if on_reconstruction is not None:
             for record, recon in zip(wavelet_records, recons):
                 on_reconstruction(record, recon)
+
+    behind = None  # the wavelet whose sizes run while the next one computes
+    try:
+        for wavelet in wavelets:
+            try:
+                recons = process_image(img, wavelet, depth, batch)
+                first = len(started)
+                for recon in recons:
+                    started.append(_Size(recon, slots))
+                ahead = (wavelet, recons, [psnr(img, recon) for recon in recons], started[first:])
+            except Exception as err:
+                raise _failure(image_id, wavelet, batch, err) from err
+            finally:
+                if behind is not None:
+                    deliver(*behind)
+            behind = ahead
+        deliver(*behind)
+    finally:
+        for size in started:
+            size.thread.join()
     return records

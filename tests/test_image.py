@@ -1,5 +1,7 @@
 """RGB images, the PGM/PPM codec, and the compressed-size metric."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,11 @@ def test_encoded_size_random_image_near_raw_size():
     img = random_image(64, 64, 12345)
     raw = 64 * 64 * 3
     assert abs(encoded_size(img) - raw) <= 0.02 * raw
+
+
+def test_encoded_size_is_deflate_of_the_pixel_stream():
+    rgb = random_image(16, 24, 3)
+    gray = read_image(b"P5\n24 16\n255\n" + bytes(k % 251 for k in range(24 * 16)))
+    assert rgb.pixels.flags.c_contiguous and not gray.pixels.flags.c_contiguous
+    for img in (rgb, gray):
+        assert encoded_size(img) == len(zlib.compress(img.pixels.tobytes()))

@@ -1,6 +1,8 @@
 """End-to-end per-image processing and the PSNR metric."""
 
 import math
+import sys
+import threading
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from wavequant import pipeline
 from wavequant.filters import SUPPORTED_WAVELETS
-from wavequant.image import RgbImage
+from wavequant.image import RgbImage, encoded_size
 from wavequant.pipeline import process_image, process_plane, psnr, run_experiment
 from conftest import solid_image
 
@@ -215,6 +217,97 @@ def test_run_experiment_batches_levels_per_wavelet(small_natural_image, monkeypa
     gray = RgbImage(np.broadcast_to(small_natural_image.pixels[:, :, :1], (64, 64, 3)))
     run(gray, [3, 5, 7])
     assert calls == wavelets
+
+
+# --- run_experiment: sizes on background threads ---
+
+WAVELETS3 = [DB2, "coif1", "db4"]
+
+
+def test_run_experiment_sizes_match_serial_encoded_size(small_natural_image):
+    # 27 reconstructions sized by more threads than cores, switching often
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = run_experiment(
+            small_natural_image, "s", list(SUPPORTED_WAVELETS), [3, 5, 7], 1,
+            on_reconstruction=lambda rec, recon: seen.append((rec, recon)),
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert records == [rec for rec, _ in seen]
+    assert len(records) == 27
+    for rec, recon in seen:
+        assert rec.size_bytes == encoded_size(recon)
+
+
+def test_run_experiment_sizes_off_and_callbacks_on_the_calling_thread(
+    small_natural_image, monkeypatch
+):
+    caller = threading.get_ident()
+    threads_before = threading.active_count()
+    size_threads, callback_threads = [], []
+
+    def sized(img):
+        size_threads.append(threading.get_ident())
+        return encoded_size(img)
+
+    monkeypatch.setattr(pipeline, "encoded_size", sized)
+    run_experiment(
+        small_natural_image, "t", WAVELETS3, [3, 5], 1,
+        on_reconstruction=lambda rec, recon: callback_threads.append(threading.get_ident()),
+    )
+    assert len(size_threads) == 6 and caller not in size_threads
+    assert callback_threads == [caller] * 6
+    assert threading.active_count() == threads_before
+
+
+def _failing_wavelet_run(img, monkeypatch, fail_in):
+    """run_experiment over WAVELETS3 with fail_in raising for coif1's work.
+
+    Returns the records passed to on_reconstruction and the error raised.
+    """
+    threads_before = threading.active_count()
+    bad = set()
+    process = pipeline.process_image
+    size = pipeline.encoded_size
+
+    def process_image(image, wavelet, *args):
+        if fail_in == "process_image" and wavelet == "coif1":
+            raise ValueError("boom")
+        recons = process(image, wavelet, *args)
+        if wavelet == "coif1":
+            bad.update(map(id, recons))
+        return recons
+
+    def encoded_size(recon):
+        if id(recon) in bad:
+            raise ValueError("boom")
+        return size(recon)
+
+    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
+    seen = []
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(
+            img, "f", WAVELETS3, [3, 5], 1,
+            on_reconstruction=lambda rec, recon: seen.append(rec),
+        )
+    assert threading.active_count() == threads_before
+    return seen, info.value
+
+
+@pytest.mark.parametrize("fail_in", ["encoded_size", "process_image"])
+def test_run_experiment_failing_wavelet_follows_the_previous_callbacks(
+    small_natural_image, monkeypatch, fail_in
+):
+    want = run_experiment(small_natural_image, "f", [DB2], [3, 5], 1)
+    seen, err = _failing_wavelet_run(small_natural_image, monkeypatch, fail_in)
+    assert str(err) == "processing failed for image=f wavelet=coif1 levels=3,5: boom"
+    assert isinstance(err.__cause__, ValueError)
+    # every db2 record, in order; nothing of coif1 or of db4 after it
+    assert seen == want
 
 
 def test_process_image_sequence_levels(small_natural_image):
