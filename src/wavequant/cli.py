@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .filters import SUPPORTED_WAVELETS, get_filter
 from .image import RgbImage, read_image, write_image
-from .pipeline import MetricsRecord, run_experiment
+from .pipeline import MetricsRecord, run_sweep
 from .quantize import LEVEL_CHOICES, level_batch
 from .transform import _check_divisibility
 
@@ -203,25 +203,19 @@ def _sweep(args: argparse.Namespace, images: Sequence[RgbImage]) -> list[Metrics
     emit_dir = args.emit_images
     if emit_dir is not None:
         emit_dir.mkdir(parents=True, exist_ok=True)
-    records: list[MetricsRecord] = []
-    for path, img in zip(args.inputs, images):
-        stem = path.stem
 
-        def emit(record: MetricsRecord, recon) -> None:
-            out = emit_dir / f"{stem}_{record.wavelet}_L{record.levels}.ppm"
-            out.write_bytes(write_image(recon))
+    def emit(record: MetricsRecord, recon: RgbImage) -> None:
+        out = emit_dir / f"{record.image_id}_{record.wavelet}_L{record.levels}.ppm"
+        out.write_bytes(write_image(recon))
 
-        records.extend(
-            run_experiment(
-                img,
-                stem,
-                args.wavelets,
-                args.levels,
-                args.depth,
-                on_reconstruction=emit if emit_dir is not None else None,
-            )
-        )
-    return records
+    # an input's stem is its image id, unique by _run's check
+    return run_sweep(
+        {path.stem: img for path, img in zip(args.inputs, images)},
+        args.wavelets,
+        args.levels,
+        args.depth,
+        on_reconstruction=emit if emit_dir is not None else None,
+    )
 
 
 def _run(args: argparse.Namespace) -> None:

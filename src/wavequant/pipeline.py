@@ -3,13 +3,19 @@
 Per channel: forward DWT, threshold every detail sub-band of every level
 with its own statistics (the approximation is never touched), inverse DWT,
 round half away from zero, clamp to [0, 255].  For a sequence of L the
-forward DWT runs once and each sub-band's statistics are gathered once;
-only the inverse DWT runs per L.  Equal channels are processed once.
+forward DWT runs once per channel and each sub-band is indexed once: only
+the approximation, a uint8 block index per detail band and one small
+centroid table per (band, L) are kept, and the float detail bands are
+dropped.  Then each L in turn gathers its bands from the tables and runs
+the inverse DWT of every channel, so one L's detail bands exist at a time.
+Equal channels are processed once.
 
-run_experiment overlaps DEFLATE sizing with compute: each wavelet's
-encoded_size calls run on background threads (zlib releases the GIL) while
-the calling thread computes the next wavelet.  Records and callbacks are
-made one wavelet behind the compute, on the calling thread, in grid order.
+run_sweep streams a whole (image, wavelet, L) grid: each RGB reconstruction
+is handed to a background DEFLATE sizing thread (zlib releases the GIL) the
+moment it is finished, while the calling thread computes the next L, the
+next wavelet or the next image.  Records and callbacks are made one
+(image, wavelet) behind the compute, on the calling thread, in grid order,
+and outstanding sizing is awaited once, at the end of the sweep.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .filters import get_filter
 from .image import RgbImage, encoded_size
-from .quantize import level_batch, threshold_subband
+from .quantize import _index_tables, level_batch
 from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 
 PEAK = 255.0
@@ -41,13 +47,55 @@ class MetricsRecord:
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
+    """values rounded and clamped to uint8; values, which the caller owns, is overwritten."""
     # Round half up, exactly: floor(v + 0.5) maps nextafter(0.5, 0) to 1, as that
     # float64 sum rounds up to 1.0, but floor(v + _BELOW_HALF) is floor(v + 0.5) of
     # the real sum for every v >= 0.  As the clamp sends every negative value to 0,
     # this equals rounding half away from zero.
-    rounded = values + _BELOW_HALF
-    np.floor(rounded, out=rounded)
-    return np.clip(rounded, 0.0, 255.0, out=rounded).astype(np.uint8)
+    np.add(values, _BELOW_HALF, out=values)
+    np.floor(values, out=values)
+    return np.clip(values, 0.0, 255.0, out=values).astype(np.uint8)
+
+
+class _Indexed:
+    """One plane's decomposition, each detail band held as (uint8 index, tables per L)."""
+
+    def __init__(self, dec: Decomposition, batch: Sequence[int]) -> None:
+        self.approx = dec.approx
+        self.levels = [[_index_tables(band, batch) for band in triple] for triple in dec.levels]
+
+    def at(self, k: int) -> Decomposition:
+        """The decomposition thresholded at the k-th L of the batch."""
+        return Decomposition(self.approx, [
+            SubbandTriple(*(tables[k][index] for index, tables in triple)) for triple in self.levels
+        ])
+
+
+def _reconstructions(
+    planes: Sequence[np.ndarray], wavelet: str, depth: int, batch: Sequence[int]
+) -> Iterator[list[np.ndarray]]:
+    """For each L of batch in turn, the uint8 reconstruction of every plane.
+
+    All planes are transformed and indexed before the first L is yielded; the
+    float detail bands of one L exist only while that L is inverted.
+    """
+    fb = get_filter(wavelet)
+    indexed = [_Indexed(dwt2d(plane, fb, depth), batch) for plane in planes]
+    for k in range(len(batch)):
+        yield [_to_uint8(idwt2d(channel.at(k), fb)) for channel in indexed]
+
+
+def _channels(img: RgbImage) -> list[np.ndarray]:
+    """The distinct planes of img: R, G and B, or one plane when all three are equal."""
+    px = img.pixels
+    if np.array_equal(px[:, :, 0], px[:, :, 1]) and np.array_equal(px[:, :, 0], px[:, :, 2]):
+        return [px[:, :, 0]]
+    return [px[:, :, c] for c in range(3)]
+
+
+def _rgb(planes: list[np.ndarray]) -> RgbImage:
+    """The image of _channels' planes: one plane stands for all three."""
+    return RgbImage(np.stack(planes * 3 if len(planes) == 1 else planes, axis=-1))
 
 
 def process_plane(
@@ -61,17 +109,7 @@ def process_plane(
     if np.asarray(plane).dtype != np.uint8:
         raise ValueError(f"plane must be uint8, got dtype {np.asarray(plane).dtype}")
     batch, single = level_batch(levels)
-    fb = get_filter(wavelet)
-    dec = dwt2d(plane, fb, depth)
-    # thresholded[i][k]: decomposition level i's triple for the k-th L
-    thresholded = [
-        [SubbandTriple(*bands) for bands in zip(*(threshold_subband(b, batch) for b in t))]
-        for t in dec.levels
-    ]
-    planes = tuple(
-        _to_uint8(idwt2d(Decomposition(dec.approx, triples), fb))
-        for triples in zip(*thresholded)
-    )
+    planes = tuple(out for (out,) in _reconstructions([plane], wavelet, depth, batch))
     return planes[0] if single else planes
 
 
@@ -83,12 +121,7 @@ def process_image(
     Equal channels (a grayscale image) are processed once.
     """
     batch, single = level_batch(levels)
-    px = img.pixels
-    if np.array_equal(px[:, :, 0], px[:, :, 1]) and np.array_equal(px[:, :, 0], px[:, :, 2]):
-        per_channel = [process_plane(px[:, :, 0], wavelet, depth, batch)] * 3
-    else:
-        per_channel = [process_plane(px[:, :, c], wavelet, depth, batch) for c in range(3)]
-    images = tuple(RgbImage(np.stack(planes, axis=-1)) for planes in zip(*per_channel))
+    images = tuple(map(_rgb, _reconstructions(_channels(img), wavelet, depth, batch)))
     return images[0] if single else images
 
 
@@ -140,25 +173,28 @@ def _failure(image_id: str, wavelet: str, batch: Sequence[int], err: Exception) 
     )
 
 
-def run_experiment(
-    img: RgbImage,
-    image_id: str,
+def run_sweep(
+    images: Mapping[str, RgbImage],
     wavelets: Sequence[str],
     levels_list: Sequence[int],
     depth: int,
     on_reconstruction: Callable[[MetricsRecord, RgbImage], None] | None = None,
 ) -> list[MetricsRecord]:
-    """One MetricsRecord per (wavelet, levels) pair, wavelets outer, levels inner.
+    """One MetricsRecord per (image, wavelet, levels): images in mapping order,
+    then wavelets, then levels; each record's image_id is the image's key.
 
     levels_list is checked once, by level_batch, before any compute.  Each
-    wavelet is one process_image call for the whole levels list.  Its
-    reconstructions' encoded_size calls start on background threads, at most
-    _SIZE_THREADS at once, while the calling thread computes the next wavelet.
-    Only then are the wavelet's records made and on_reconstruction called, on
-    the calling thread and in grid order, so a failing wavelet still follows
-    the callbacks of the one before it.  Any failure, also one met on a
-    background thread, aborts the whole run, annotated with the image, the
-    wavelet and the levels.  No background thread outlives the call.
+    (image, wavelet) transforms and indexes the image once for the whole
+    levels list, then reconstructs one L at a time.  Each reconstruction's
+    encoded_size starts on a background thread, at most _SIZE_THREADS at
+    once, as soon as it is finished, and the calling thread goes on to the
+    next L, wavelet or image.  An (image, wavelet)'s records are made and
+    on_reconstruction called, on the calling thread and in grid order, only
+    after the next (image, wavelet) is computed, so a failing one still
+    follows the callbacks of the one before it, also across images.  Any
+    failure, also one met on a background thread, aborts the whole sweep,
+    annotated with the image, the wavelet and the levels.  Sizing is awaited
+    once, at the end, and no background thread outlives the call.
     """
     if not wavelets:
         raise ValueError("wavelets list must be nonempty")
@@ -167,40 +203,58 @@ def run_experiment(
     started: list[_Size] = []
     records: list[MetricsRecord] = []
 
-    def deliver(wavelet: str, recons: tuple[RgbImage, ...], psnrs: list[float],
+    def deliver(image_id: str, wavelet: str, recons: list[RgbImage], psnrs: list[float],
                 sizes: list[_Size]) -> None:
         try:
             size_bytes = [size.result() for size in sizes]
         except Exception as err:
             raise _failure(image_id, wavelet, batch, err) from err
-        wavelet_records = [
+        job_records = [
             MetricsRecord(
                 image_id=image_id, wavelet=wavelet, levels=levels, psnr_db=psnr_db, size_bytes=size
             )
             for levels, psnr_db, size in zip(batch, psnrs, size_bytes)
         ]
-        records.extend(wavelet_records)
+        records.extend(job_records)
         if on_reconstruction is not None:
-            for record, recon in zip(wavelet_records, recons):
+            for record, recon in zip(job_records, recons):
                 on_reconstruction(record, recon)
 
-    behind = None  # the wavelet whose sizes run while the next one computes
+    behind = None  # the (image, wavelet) whose sizes run while the next one computes
     try:
-        for wavelet in wavelets:
-            try:
-                recons = process_image(img, wavelet, depth, batch)
-                first = len(started)
-                for recon in recons:
-                    started.append(_Size(recon, slots))
-                ahead = (wavelet, recons, [psnr(img, recon) for recon in recons], started[first:])
-            except Exception as err:
-                raise _failure(image_id, wavelet, batch, err) from err
-            finally:
-                if behind is not None:
-                    deliver(*behind)
-            behind = ahead
-        deliver(*behind)
+        for image_id, img in images.items():
+            channels = _channels(img)
+            for wavelet in wavelets:
+                recons, psnrs, sizes = [], [], []
+                try:
+                    for planes in _reconstructions(channels, wavelet, depth, batch):
+                        recon = _rgb(planes)
+                        sizes.append(_Size(recon, slots))
+                        started.append(sizes[-1])
+                        recons.append(recon)
+                        psnrs.append(psnr(img, recon))
+                except Exception as err:
+                    raise _failure(image_id, wavelet, batch, err) from err
+                finally:
+                    if behind is not None:
+                        deliver(*behind)
+                behind = (image_id, wavelet, recons, psnrs, sizes)
+        if behind is not None:
+            deliver(*behind)
     finally:
         for size in started:
             size.thread.join()
     return records
+
+
+def run_experiment(
+    img: RgbImage,
+    image_id: str,
+    wavelets: Sequence[str],
+    levels_list: Sequence[int],
+    depth: int,
+    on_reconstruction: Callable[[MetricsRecord, RgbImage], None] | None = None,
+) -> list[MetricsRecord]:
+    """run_sweep over the one image img, named image_id: one MetricsRecord per
+    (wavelet, levels) pair, wavelets outer, levels inner."""
+    return run_sweep({image_id: img}, wavelets, levels_list, depth, on_reconstruction)

@@ -263,6 +263,28 @@ def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
     return partition.representatives[idx]
 
 
+def _index_tables(mat, batch: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One band's block index, shaped like mat, and one centroid table per L of batch.
+
+    table[index] is the band thresholded at that L.  batch is a checked level_batch.
+    """
+    parts, by_level, index = _refine(_checked(mat), max(batch))
+    fine = by_level[max(batch)]
+    sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
+    totals = parts.totals(index, len(sizes))
+    tables = []
+    for level in batch:
+        cuts = by_level[level]
+        # owner[f]: the L block of fine block f, the count of L cuts at or below its lower end
+        owner = [0, *np.searchsorted(cuts, fine, side="right").tolist()]
+        block_sizes, block_totals = [0] * (len(cuts) + 1), [0] * (len(cuts) + 1)
+        for block, size, total in zip(owner, sizes, totals):
+            block_sizes[block] += size
+            block_totals[block] += total
+        tables.append(np.array(parts.means(block_totals, block_sizes))[owner])
+    return index.reshape(np.shape(mat)), tables
+
+
 def threshold_subband(
     mat, levels: int | Sequence[int]
 ) -> np.ndarray | tuple[np.ndarray, ...]:
@@ -273,19 +295,6 @@ def threshold_subband(
     indexed once for all of them.
     """
     batch, single = level_batch(levels)
-    parts, by_level, index = _refine(_checked(mat), max(batch))
-    fine = by_level[max(batch)]
-    sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
-    totals = parts.totals(index, len(sizes))
-    results = []
-    for level in batch:
-        cuts = by_level[level]
-        # owner[f]: the L block of fine block f, the count of L cuts at or below its lower end
-        owner = [0, *np.searchsorted(cuts, fine, side="right").tolist()]
-        block_sizes, block_totals = [0] * (len(cuts) + 1), [0] * (len(cuts) + 1)
-        for block, size, total in zip(owner, sizes, totals):
-            block_sizes[block] += size
-            block_totals[block] += total
-        table = np.array(parts.means(block_totals, block_sizes))[owner]
-        results.append(table[index].reshape(np.shape(mat)))
-    return results[0] if single else tuple(results)
+    index, tables = _index_tables(mat, batch)
+    results = tuple(table[index] for table in tables)
+    return results[0] if single else results

@@ -1,9 +1,21 @@
-"""Shared fixtures: deterministic synthetic images with natural statistics."""
+"""Shared fixtures: deterministic synthetic images with natural statistics, and a
+check that no test leaves a thread behind."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from wavequant import RgbImage
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that returns with more threads alive than it started with."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    assert after <= before, f"{after - before} thread(s) still alive after the test"
 
 
 def natural_plane(height, width, seed, detail=1.0):
