@@ -17,7 +17,9 @@ from typing import Iterator, Sequence
 
 from .filters import SUPPORTED_WAVELETS, get_filter
 from .image import RgbImage, read_image, write_image
-from .pipeline import MetricsRecord, run_sweep
+# bench/spans.py traces the pipeline through cli.run_experiment, so the name
+# stays in this module although _sweep runs every image in one run_sweep
+from .pipeline import MetricsRecord, run_experiment, run_sweep  # noqa: F401
 from .quantize import LEVEL_CHOICES, level_batch
 from .transform import _check_divisibility
 

@@ -3,12 +3,12 @@
 Per channel: forward DWT, threshold every detail sub-band of every level
 with its own statistics (the approximation is never touched), inverse DWT,
 round half away from zero, clamp to [0, 255].  For a sequence of L the
-forward DWT runs once per channel and each sub-band is indexed once: only
-the approximation, a uint8 block index per detail band and one small
-centroid table per (band, L) are kept, and the float detail bands are
-dropped.  Then each L in turn gathers its bands from the tables and runs
-the inverse DWT of every channel, so one L's detail bands exist at a time.
-Equal channels are processed once.
+forward DWT runs once per channel and each sub-band is thresholded once,
+into a uint8 block index and one small centroid table per L; the float
+detail bands are dropped.  Then each L in turn gathers its bands from the
+tables and runs the inverse DWT of every channel, so one L's detail bands
+exist at a time and each L's reconstruction is finished before the next
+L's inverse runs.  Equal channels are processed once.
 
 run_sweep streams a whole (image, wavelet, L) grid: each RGB reconstruction
 is handed to a background DEFLATE sizing thread (zlib releases the GIL) the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .filters import get_filter
 from .image import RgbImage, encoded_size
-from .quantize import _index_tables, level_batch
+from .quantize import level_batch, threshold_subband
 from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 
 PEAK = 255.0
@@ -62,7 +62,10 @@ class _Indexed:
 
     def __init__(self, dec: Decomposition, batch: Sequence[int]) -> None:
         self.approx = dec.approx
-        self.levels = [[_index_tables(band, batch) for band in triple] for triple in dec.levels]
+        self.levels = [
+            [threshold_subband(band, batch, indexed=True) for band in triple]
+            for triple in dec.levels
+        ]
 
     def at(self, k: int) -> Decomposition:
         """The decomposition thresholded at the k-th L of the batch."""
@@ -85,19 +88,6 @@ def _reconstructions(
         yield [_to_uint8(idwt2d(channel.at(k), fb)) for channel in indexed]
 
 
-def _channels(img: RgbImage) -> list[np.ndarray]:
-    """The distinct planes of img: R, G and B, or one plane when all three are equal."""
-    px = img.pixels
-    if np.array_equal(px[:, :, 0], px[:, :, 1]) and np.array_equal(px[:, :, 0], px[:, :, 2]):
-        return [px[:, :, 0]]
-    return [px[:, :, c] for c in range(3)]
-
-
-def _rgb(planes: list[np.ndarray]) -> RgbImage:
-    """The image of _channels' planes: one plane stands for all three."""
-    return RgbImage(np.stack(planes * 3 if len(planes) == 1 else planes, axis=-1))
-
-
 def process_plane(
     plane: np.ndarray, wavelet: str, depth: int, levels: int | Sequence[int]
 ) -> np.ndarray | tuple[np.ndarray, ...]:
@@ -114,15 +104,31 @@ def process_plane(
 
 
 def process_image(
-    img: RgbImage, wavelet: str, depth: int, levels: int | Sequence[int]
+    img: RgbImage,
+    wavelet: str,
+    depth: int,
+    levels: int | Sequence[int],
+    on_level: Callable[[RgbImage], None] | None = None,
 ) -> RgbImage | tuple[RgbImage, ...]:
     """process_plane applied to R, G and B, with levels as in process_plane.
 
-    Equal channels (a grayscale image) are processed once.
+    Equal channels (a grayscale image) are processed once.  The channels are
+    reconstructed one L at a time, and on_level(recon), if given, is called
+    with each L's image as soon as it is finished, before the next L's
+    inverse runs.
     """
     batch, single = level_batch(levels)
-    images = tuple(map(_rgb, _reconstructions(_channels(img), wavelet, depth, batch)))
-    return images[0] if single else images
+    px = img.pixels
+    if np.array_equal(px[:, :, 0], px[:, :, 1]) and np.array_equal(px[:, :, 0], px[:, :, 2]):
+        channels = [px[:, :, 0]]
+    else:
+        channels = [px[:, :, c] for c in range(3)]
+    images = []
+    for planes in _reconstructions(channels, wavelet, depth, batch):
+        images.append(RgbImage(np.stack(planes * 3 if len(planes) == 1 else planes, axis=-1)))
+        if on_level is not None:
+            on_level(images[-1])
+    return images[0] if single else tuple(images)
 
 
 def psnr(orig: RgbImage, recon: RgbImage) -> float:
@@ -184,10 +190,10 @@ def run_sweep(
     then wavelets, then levels; each record's image_id is the image's key.
 
     levels_list is checked once, by level_batch, before any compute.  Each
-    (image, wavelet) transforms and indexes the image once for the whole
-    levels list, then reconstructs one L at a time.  Each reconstruction's
-    encoded_size starts on a background thread, at most _SIZE_THREADS at
-    once, as soon as it is finished, and the calling thread goes on to the
+    (image, wavelet) is one process_image call for the whole levels list,
+    which reconstructs one L at a time.  Each reconstruction's encoded_size
+    starts on a background thread, at most _SIZE_THREADS at once, as soon as
+    process_image has finished it, while the calling thread goes on to the
     next L, wavelet or image.  An (image, wavelet)'s records are made and
     on_reconstruction called, on the calling thread and in grid order, only
     after the next (image, wavelet) is computed, so a failing one still
@@ -203,42 +209,46 @@ def run_sweep(
     started: list[_Size] = []
     records: list[MetricsRecord] = []
 
-    def deliver(image_id: str, wavelet: str, recons: list[RgbImage], psnrs: list[float],
+    def deliver(image_id: str, wavelet: str, recons: tuple[RgbImage, ...], psnrs: list[float],
                 sizes: list[_Size]) -> None:
         try:
             size_bytes = [size.result() for size in sizes]
         except Exception as err:
             raise _failure(image_id, wavelet, batch, err) from err
-        job_records = [
+        wavelet_records = [
             MetricsRecord(
                 image_id=image_id, wavelet=wavelet, levels=levels, psnr_db=psnr_db, size_bytes=size
             )
             for levels, psnr_db, size in zip(batch, psnrs, size_bytes)
         ]
-        records.extend(job_records)
+        records.extend(wavelet_records)
         if on_reconstruction is not None:
-            for record, recon in zip(job_records, recons):
+            for record, recon in zip(wavelet_records, recons):
                 on_reconstruction(record, recon)
+
+    def start(image_id: str, img: RgbImage, wavelet: str) -> tuple:
+        """Compute one (image, wavelet) and start its sizing; the job to deliver."""
+        first = len(started)
+        recons = process_image(
+            img, wavelet, depth, batch, on_level=lambda recon: started.append(_Size(recon, slots))
+        )
+        psnrs = [psnr(img, recon) for recon in recons]
+        # each size thread holds its own image; keep them here only for the callback
+        kept = recons if on_reconstruction is not None else ()
+        return image_id, wavelet, kept, psnrs, started[first:]
 
     behind = None  # the (image, wavelet) whose sizes run while the next one computes
     try:
         for image_id, img in images.items():
-            channels = _channels(img)
             for wavelet in wavelets:
-                recons, psnrs, sizes = [], [], []
                 try:
-                    for planes in _reconstructions(channels, wavelet, depth, batch):
-                        recon = _rgb(planes)
-                        sizes.append(_Size(recon, slots))
-                        started.append(sizes[-1])
-                        recons.append(recon)
-                        psnrs.append(psnr(img, recon))
+                    ahead = start(image_id, img, wavelet)
                 except Exception as err:
                     raise _failure(image_id, wavelet, batch, err) from err
                 finally:
                     if behind is not None:
                         deliver(*behind)
-                behind = (image_id, wavelet, recons, psnrs, sizes)
+                behind = ahead
         if behind is not None:
             deliver(*behind)
     finally:

@@ -263,11 +263,20 @@ def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
     return partition.representatives[idx]
 
 
-def _index_tables(mat, batch: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One band's block index, shaped like mat, and one centroid table per L of batch.
+def threshold_subband(
+    mat, levels: int | Sequence[int], *, indexed: bool = False
+) -> np.ndarray | tuple[np.ndarray, ...] | tuple[np.ndarray, list[np.ndarray]]:
+    """Threshold one sub-band with its own statistics; each result has mat's shape.
 
-    table[index] is the band thresholded at that L.  batch is a checked level_batch.
+    levels is one L, giving one array, or a sequence of L, giving a tuple
+    with one array per L in that order.  The band is checked, summed and
+    indexed once for all of them.
+
+    indexed=True returns the same results unmaterialised, as (index, tables):
+    a uint8 block index shaped like mat and one centroid table (at most 7
+    entries) per L, in levels order, so tables[k][index] is the k-th result.
     """
+    batch, single = level_batch(levels)
     parts, by_level, index = _refine(_checked(mat), max(batch))
     fine = by_level[max(batch)]
     sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
@@ -282,19 +291,8 @@ def _index_tables(mat, batch: Sequence[int]) -> tuple[np.ndarray, list[np.ndarra
             block_sizes[block] += size
             block_totals[block] += total
         tables.append(np.array(parts.means(block_totals, block_sizes))[owner])
-    return index.reshape(np.shape(mat)), tables
-
-
-def threshold_subband(
-    mat, levels: int | Sequence[int]
-) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Threshold one sub-band with its own statistics; each result has mat's shape.
-
-    levels is one L, giving one array, or a sequence of L, giving a tuple
-    with one array per L in that order.  The band is checked, summed and
-    indexed once for all of them.
-    """
-    batch, single = level_batch(levels)
-    index, tables = _index_tables(mat, batch)
+    index = index.reshape(np.shape(mat))
+    if indexed:
+        return index, tables
     results = tuple(table[index] for table in tables)
     return results[0] if single else results

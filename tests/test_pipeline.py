@@ -268,30 +268,32 @@ def test_run_experiment_sizes_off_and_callbacks_on_the_calling_thread(
 def _failing_wavelet_run(img, monkeypatch, fail_in):
     """run_experiment over WAVELETS3 with fail_in raising for coif1's work.
 
-    "process_image" makes coif1's compute, the reconstruction generator, raise;
-    "encoded_size" makes the sizing of each coif1 reconstruction raise.
     Returns the records passed to on_reconstruction and the error raised.
     """
     threads_before = threading.active_count()
     bad = set()
-    reconstruct = pipeline._reconstructions
+    process = pipeline.process_image
     size = pipeline.encoded_size
 
-    def _reconstructions(planes, wavelet, *args):
+    def process_image(image, wavelet, *args, on_level):
         if fail_in == "process_image" and wavelet == "coif1":
             raise ValueError("boom")
-        for outs in reconstruct(planes, wavelet, *args):
+
+        def mark(recon):
+            # marked here, before on_level starts its sizing
             if wavelet == "coif1":
-                bad.add(pipeline._rgb(outs).pixels.tobytes())
-            yield outs
+                bad.add(id(recon))
+            on_level(recon)
+
+        return process(image, wavelet, *args, on_level=mark)
 
     def encoded_size(recon):
         time.sleep(0.02)  # so that a size thread the run did not join is still alive
-        if recon.pixels.tobytes() in bad:
+        if id(recon) in bad:
             raise ValueError("boom")
         return size(recon)
 
-    monkeypatch.setattr(pipeline, "_reconstructions", _reconstructions)
+    monkeypatch.setattr(pipeline, "process_image", process_image)
     monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
     seen = []
     with pytest.raises(RuntimeError) as info:
@@ -332,7 +334,7 @@ def test_process_image_sequence_levels(small_natural_image):
 
 def test_process_image_holds_one_level_of_detail_bands():
     # the float detail bands are dropped once indexed, and only one L's are
-    # materialised at a time: measured 6.4 float64 planes against 8.9 when
+    # materialised at a time: measured 6.7 float64 planes against 8.9 when
     # every L's thresholded bands were held together
     img = natural_image(256, seed=5)
     process_image(img, DB2, 3, (3, 5, 7))  # warm every cache first

@@ -99,6 +99,19 @@ def test_sequence_gives_one_result_per_level_in_order():
     assert np.array_equal(only, threshold_subband(mat, 5))
 
 
+@pytest.mark.parametrize("levels", (3, (7, 3, 5)))
+def test_indexed_gives_the_same_results_unmaterialised(levels):
+    mat = np.random.default_rng(19).normal(scale=5.0, size=(6, 9))
+    index, tables = threshold_subband(mat, levels, indexed=True)
+    assert index.dtype == np.uint8 and index.shape == mat.shape
+    results = threshold_subband(mat, levels)
+    results = (results,) if isinstance(results, np.ndarray) else results
+    assert len(tables) == len(results)
+    for table, out in zip(tables, results):
+        assert len(table) <= 7
+        assert np.array_equal(table[index], out)
+
+
 # --- partition construction ---
 
 def test_partition_seven_point_three_levels():
