@@ -7,6 +7,32 @@ derived by the quadrature-mirror rule.  A wavelet is named by its label
 properties (orthonormality, double-shift orthogonality, vanishing moments
 of the high-pass) and the tap counts are certified by the test suite rather
 than re-checked at import.
+
+Each bank also carries the lifting factorization of its analysis polyphase
+matrix (Daubechies & Sweldens, "Factoring wavelet transforms into lifting
+steps", J. Fourier Anal. Appl. 1998), which is what the transform runs:
+
+    [[He, Ho], [Ge, Go]] = diag(k0 z^s0, k1 z^s1) S_n ... S_1,
+    He(z) = sum_m h[2m] z^m, Ho(z) = sum_m h[2m+1] z^m (Ge, Go likewise from g)
+
+where z advances by one sample pair, so that
+approx[k] = sum_n h[n] x[(2k+n) mod N] keeps its phase.  S_i adds t_i(z)
+times one channel (0 = even samples, 1 = odd) to the other.  The steps were
+derived once, offline, in 80-digit mpmath arithmetic from the exact filters,
+not from the table floats: Daubechies as the extremal-phase spectral factor
+of the maximally flat half-band polynomial, coiflets by Gauss-Newton on their
+defining moment + orthogonality system; both round to the tables exactly.  The
+Laurent-polynomial Euclidean algorithm then runs on the first row (He, Ho)
+as column operations on the whole matrix, until the row is (k0 z^s0, 0) and
+one last step clears the lower-left entry.  A Laurent division has one
+quotient per split of the cleared terms between the low and high end (and
+either divisor when both spans are equal); of all these choices, the
+factorization whose largest step coefficient is smallest was kept (an
+exhaustive branch-and-bound search).  Every step coefficient is at most
+sqrt(3) in magnitude, every scale lies in 0.51..1.94, and a bank of length L
+needs L multiply-adds per sample pair plus two scalings, against 2L for the
+polyphase form.  The float64 product of the embedded steps is certified
+against the table's polyphase matrix by the test suite.
 """
 
 from __future__ import annotations
@@ -14,6 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_Step = tuple[int, tuple[tuple[int, float], ...]]  # (target channel, ((power, coeff), ...))
+_Scale = tuple[float, int]  # (scale, shift) of one output channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,12 +52,21 @@ class FilterBank:
     lowpass is the scaling filter h (sum = sqrt(2), unit norm), highpass the
     wavelet filter g derived by the QMF rule.  vanishing_moments is the
     number of vanishing moments of g: K for dbK, 2K for coifK.
+
+    steps and scaling factor the same bank into lifting steps, in analysis
+    order.  A step (target, ((power, coeff), ...)) adds
+    sum coeff * s[other][(k + power) mod n] to s[target][k], where s[0] holds
+    the even samples and s[1] the odd ones; then channel c becomes
+    scale * s[c][(k + shift) mod n] for scaling[c] = (scale, shift), giving
+    the approximation (c = 0) and the detail (c = 1).
     """
 
     name: str
     lowpass: np.ndarray
     highpass: np.ndarray
     vanishing_moments: int
+    steps: tuple[_Step, ...]
+    scaling: tuple[_Scale, _Scale]
 
     def __post_init__(self) -> None:
         for attr in ("lowpass", "highpass"):
@@ -209,6 +247,130 @@ _LOWPASS: dict[str, tuple[float, ...]] = {
 }
 
 
+# Lifting steps and output scaling of each bank (see the module docstring).
+_LIFTING: dict[str, tuple[tuple[_Step, ...], tuple[_Scale, _Scale]]] = {
+    "db2": (
+        (
+            (1, ((0, -1.7320508075688772),)),
+            (0, ((0, 0.4330127018922193), (1, -0.06698729810778067))),
+            (1, ((-1, 1.0),)),
+        ),
+        ((1.9318516525781366, 0), (-0.5176380902050415, 1)),
+    ),
+    "db4": (
+        (
+            (1, ((0, 0.3222758880002811),)),
+            (0, ((-1, 1.1171236051162172), (0, -0.29195312600347534))),
+            (1, ((0, -0.11355149660809287), (1, -0.5400282834197139))),
+            (0, ((0, 0.5547946968043383), (1, -0.09842349449508443))),
+            (1, ((-1, 0.02145362655440929),)),
+        ),
+        ((0.6829218120354147, 1), (-1.4642964719775893, 2)),
+    ),
+    "db6": (
+        (
+            (1, ((0, 0.2255061785637888),)),
+            (0, ((-1, 0.7273420740972343), (0, -0.2145934500030082))),
+            (1, ((0, -0.391113547975628), (1, -0.507005568565545))),
+            (0, ((0, 0.6595714136346803), (1, -0.2718462593445387))),
+            (1, ((-2, -0.05908637151044026), (-1, 0.20512679659260868))),
+            (0, ((2, 0.08252478647755451), (3, -0.011386511463891974))),
+            (1, ((-3, 0.008191735616131821),)),
+        ),
+        ((0.9209502755579572, 1), (-1.0858349538949328, 4)),
+    ),
+    "db8": (
+        (
+            (1, ((0, 0.17392388386585503),)),
+            (0, ((-1, 0.545240042147073), (0, -0.16881724371813134))),
+            (1, ((0, -0.709599782718359), (1, -0.4399133163852162))),
+            (0, ((0, 0.6353677588938296), (1, -0.337998430891021))),
+            (1, ((-2, -0.26417387650139024), (-1, 0.5578087497857382))),
+            (0, ((2, 0.18749477001593542), (3, -0.06841128991724878))),
+            (1, ((-4, -0.02370601458932583), (-3, 0.10071357518206554))),
+            (0, ((4, 0.016208171869188496), (5, -0.0017847647755538983))),
+            (1, ((-5, 0.0026113818275875092),)),
+        ),
+        ((1.0998205796126963, 1), (-0.9092392145927581, 6)),
+    ),
+    "coif1": (
+        (
+            (0, ((0, 0.21525043702153018),)),
+            (1, ((0, -0.2057189138830738), (1, -0.361227795630767))),
+            (0, ((-1, 0.34604203085127516), (0, 0.19707063411416553))),
+            (1, ((0, -0.22469652221889932),)),
+        ),
+        ((1.0217064953743347, 1), (-0.9787546663620046, 1)),
+    ),
+    "coif2": (
+        (
+            (1, ((0, -0.3952094886200825),)),
+            (0, ((-1, -0.486553126281547), (0, 0.3418203790664599))),
+            (1, ((0, 0.10235638480685384), (1, 0.4940618205495065))),
+            (0, ((-1, 1.4797286989698764), (0, -0.13092196383207655))),
+            (1, ((0, -0.05251134278161462), (1, -0.4287159896385271))),
+            (0, ((0, 0.4831467349857985), (1, -0.1316703880347501))),
+            (1, ((-1, 0.014654934661776989),)),
+        ),
+        ((0.5773168514813308, 2), (-1.732151066496866, 3)),
+    ),
+    "coif3": (
+        (
+            (0, ((0, 0.4874353823445087),)),
+            (1, ((0, -0.39385749847296053), (1, -0.7220452119626274))),
+            (0, ((-2, 0.17689518041743868), (-1, 0.6149014197510215))),
+            (1, ((1, -0.17589428984415206), (2, -0.3504270760841098))),
+            (0, ((-2, -0.31829376863961284), (-1, 0.0931087791943464))),
+            (1, ((1, 0.5236560117292454), (2, 0.5117371997954115))),
+            (0, ((-1, -0.323226117080884), (0, 0.08588053174704585))),
+            (1, ((-1, 0.09155710935296475), (0, -0.1651074699139148))),
+            (0, ((1, -0.04809562805415971), (2, 0.006595992239117418))),
+            (1, ((-2, -0.012610930110897516),)),
+        ),
+        ((1.1758656778920007, 3), (-0.8504372725571183, 5)),
+    ),
+    "coif4": (
+        (
+            (1, ((0, -0.547602362995222),)),
+            (0, ((-1, 0.5278152349783322), (0, 0.42127524980163317))),
+            (1, ((1, -0.6063881186044083), (2, -0.6823845079675813))),
+            (0, ((-2, 0.5473058903495027), (-1, -0.09281146667737337))),
+            (1, ((1, 0.18158472682820867), (2, 0.23721056504413543))),
+            (0, ((-2, -0.11981626195734593), (-1, 0.2072037824856045))),
+            (1, ((1, -0.38825286923720376), (2, 1.0594014558886808))),
+            (0, ((-2, -0.37232542813101355), (-1, -0.14755245257302274))),
+            (1, ((0, -0.1743963664056135), (1, 0.6289684665949701))),
+            (0, ((0, 0.044745816110585916), (1, -0.039835234007842585))),
+            (1, ((-2, -0.036497874110611415), (-1, 0.15550915923392222))),
+            (0, ((2, 0.009404345729745167), (3, -0.0010152530741414927))),
+            (1, ((-3, 0.003941492003425419),)),
+        ),
+        ((1.4036898180545723, 4), (-0.7124081026575647, 7)),
+    ),
+    "coif5": (
+        (
+            (0, ((0, 0.5914529479168701),)),
+            (1, ((0, -0.4381728247186041), (1, -0.43124175446160884))),
+            (0, ((-2, -0.8436649887297918), (-1, 0.5868708578197492))),
+            (1, ((2, 0.48816448190351397), (3, 0.23664256959710994))),
+            (0, ((-3, -0.5971016174430586), (-2, 0.19378901055237263))),
+            (1, ((2, -0.08791626224813456), (3, -0.08049288641194614))),
+            (0, ((-3, 0.17791634760036848), (-2, -0.5418771125468251))),
+            (1, ((2, 0.21917821177121377), (3, -0.27934165160285135))),
+            (0, ((-3, 0.6429447903112128), (-2, 1.1785164859578954))),
+            (1, ((1, 0.10226727420982246), (2, -0.3596144978915685))),
+            (0, ((-1, -0.5490044263362523), (0, 0.14415026111279056))),
+            (1, ((-1, 0.03813779247510414), (0, -0.02833307339605908))),
+            (0, ((1, -0.1933925085518992), (2, 0.059693798399404814))),
+            (1, ((-3, 0.0022572458379755463), (-2, -0.011850940447985852))),
+            (0, ((3, -0.011377620573588891), (4, 0.00101666950441386))),
+            (1, ((-4, -0.00020170574863306658),)),
+        ),
+        ((0.6673975337774862, 5), (-1.4983573498391218, 9)),
+    ),
+}
+
+
 _REGISTRY: dict[str, FilterBank] = {
     name: FilterBank(
         name=name,
@@ -216,6 +378,8 @@ _REGISTRY: dict[str, FilterBank] = {
         highpass=qmf_highpass(taps),
         # dbK has 2K taps and K vanishing moments, coifK 6K taps and 2K moments
         vanishing_moments=len(taps) // 2 if name.startswith("db") else len(taps) // 3,
+        steps=_LIFTING[name][0],
+        scaling=_LIFTING[name][1],
     )
     for name, taps in _LOWPASS.items()
 }

@@ -5,12 +5,18 @@ Phase convention, fixed for reproducibility:
     approx[k] = sum_n h[n] * x[(2k + n) mod N]
     detail[k] = sum_n g[n] * x[(2k + n) mod N]
 
-Both directions run one polyphase kernel along either axis.  Analysis applies
-P_m = [[h[2m], h[2m+1]], [g[2m], g[2m+1]]] to the even and odd samples rolled
-by -m.  Synthesis is the adjoint, so the exact inverse for every even N (taps
-fold when N < filter length): it applies P_m^T to the coefficient pair rolled
-by +m and interleaves the two outputs.  Taps are added one at a time in filter
-order, so this code, not BLAS, fixes the summation order.
+Both directions run one lifting kernel along either axis.  Analysis copies
+the even and odd samples into two C-contiguous channels, runs the bank's
+lifting steps (FilterBank.steps) on them in order, then scales and shifts
+each channel (FilterBank.scaling).  Synthesis undoes the scaling and runs the
+steps in reverse with negated coefficients, so it is the exact inverse by
+construction for every even N: powers and shifts are taken modulo N / 2,
+which folds the taps when N is shorter than the filter, down to N = 2.  A
+shifted channel is one flat multiply plus a fix-up of the wrapped positions,
+so every multiply and add over a whole channel reads and writes contiguous
+memory and the row passes need no transposed copy.  Each term is one multiply and one add, in
+the listed order, so the steps, not BLAS or SIMD dispatch, fix the summation
+order.  The kernel never writes into its inputs.
 """
 
 from __future__ import annotations
@@ -60,30 +66,70 @@ class Decomposition:
         return len(self.levels)
 
 
-def _polyphase(x: np.ndarray, y: np.ndarray, fb: FilterBank, axis: int, adjoint: bool):
-    """(u, v) = sum_m P_m (x, y) rolled by -m along axis; P_m^T rolled by +m if adjoint."""
-    p = np.stack((fb.lowpass.reshape(-1, 2), fb.highpass.reshape(-1, 2)), axis=1)
-    taps, shift = (np.swapaxes(p, 1, 2), 1) if adjoint else (p, -1)
-    # periodic extension ext[j] = x[(j - o) mod n]: x rolled by shift*m is the
-    # window of n samples starting at o - shift*m, a view rather than a copy
-    n, o = x.shape[axis], (len(taps) - 1 if adjoint else 0)
-    ext = (np.arange(n + len(taps) - 1) - o) % n
-    xe, ye = np.take(x, ext, axis), np.take(y, ext, axis)
-    u, v = np.zeros(x.shape), np.zeros(x.shape)
-    for m, ((a, b), (c, d)) in enumerate(taps):
-        window = (slice(None),) * axis + (slice(o - shift * m, o - shift * m + n),)
-        xm, ym = xe[window], ye[window]
-        u += a * xm
-        u += b * ym
-        v += c * xm
-        v += d * ym
-    return u, v
+def _shift_scale(x: np.ndarray, power: int, coeff: float, out: np.ndarray) -> np.ndarray:
+    """out[:, k] = coeff * x[:, (k + power) mod n] on (outer, n, inner) C-contiguous arrays.
+
+    One multiply reads x flattened, shifted by the smaller of the two
+    equivalent shifts; a second rewrites the |shift| wrapped positions,
+    which the flat read took from the neighbouring outer index.
+    """
+    n, inner = x.shape[1:]
+    q = power % n
+    if 2 * q > n:
+        q -= n
+    flat, out_flat = x.reshape(-1), out.reshape(-1)
+    d = q * inner
+    if q >= 0:
+        np.multiply(flat[d:], coeff, out=out_flat[: flat.size - d])
+        np.multiply(x[:, :q], coeff, out=out[:, n - q:])
+    else:
+        np.multiply(flat[: flat.size + d], coeff, out=out_flat[-d:])
+        np.multiply(x[:, n + q:], coeff, out=out[:, :-q])
+    return out
 
 
-def _interleave(even: np.ndarray, odd: np.ndarray, axis: int) -> np.ndarray:
-    shape = list(even.shape)
+def _lift(s: list[np.ndarray], steps, sign: float, tmp: np.ndarray) -> None:
+    """Run lifting steps in place on the channel pair s, coefficients times sign."""
+    for target, terms in steps:
+        for power, coeff in terms:
+            s[target] += _shift_scale(s[1 - target], power, sign * coeff, tmp)
+
+
+def _pairs(x: np.ndarray, axis: int) -> np.ndarray:
+    """x as (outer, n, 2, inner): [:, k, 0] and [:, k, 1] are samples 2k and 2k + 1 along axis."""
+    height, width = x.shape
+    return x.reshape((1, height // 2, 2, width) if axis == 0 else (height, width // 2, 2, 1))
+
+
+def _analysis(x: np.ndarray, axis: int, fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """(approx, detail) of the 2-D array x along axis, each half its length there."""
+    pairs = _pairs(x, axis)
+    s = [pairs[:, :, 0].copy(), pairs[:, :, 1].copy()]
+    tmp = np.empty_like(s[0])
+    _lift(s, fb.steps, 1.0, tmp)
+    shape = list(x.shape)
+    shape[axis] //= 2
+    # the scratch buffer and then the spent even channel take the outputs
+    (scale0, shift0), (scale1, shift1) = fb.scaling
+    approx = _shift_scale(s[0], shift0, scale0, tmp).reshape(shape)
+    detail = _shift_scale(s[1], shift1, scale1, s[0]).reshape(shape)
+    return approx, detail
+
+
+def _synthesis(approx: np.ndarray, detail: np.ndarray, axis: int, fb: FilterBank) -> np.ndarray:
+    """Inverse of _analysis: the 2-D array whose (approx, detail) along axis these are."""
+    shape = list(approx.shape)
     shape[axis] *= 2
-    return np.stack((even, odd), axis + 1).reshape(shape)
+    out = np.empty(shape)
+    pairs = _pairs(out, axis)
+    channel = pairs[:, :, 0].shape
+    s = [
+        _shift_scale(np.reshape(band, channel), -shift, 1.0 / scale, np.empty(channel))
+        for band, (scale, shift) in zip((approx, detail), fb.scaling)
+    ]
+    _lift(s, reversed(fb.steps), -1.0, np.empty(channel))
+    pairs[:, :, 0], pairs[:, :, 1] = s
+    return out
 
 
 def _check_divisibility(height: int, width: int, depth: int) -> None:
@@ -110,9 +156,9 @@ def dwt2d(plane, fb: FilterBank, depth: int) -> Decomposition:
     _check_divisibility(height, width, depth)
     triples = []
     for _ in range(depth):
-        lo, hi = _polyphase(a[:, 0::2], a[:, 1::2], fb, 1, adjoint=False)
-        lo_lo, lo_hi = _polyphase(lo[0::2], lo[1::2], fb, 0, adjoint=False)
-        hi_lo, hi_hi = _polyphase(hi[0::2], hi[1::2], fb, 0, adjoint=False)
+        lo, hi = _analysis(a, 1, fb)
+        lo_lo, lo_hi = _analysis(lo, 0, fb)
+        hi_lo, hi_hi = _analysis(hi, 0, fb)
         triples.append(SubbandTriple(h=lo_hi, v=hi_lo, d=hi_hi))
         a = lo_lo
     return Decomposition(a, tuple(triples))
@@ -122,7 +168,7 @@ def idwt2d(dec: Decomposition, fb: FilterBank) -> np.ndarray:
     """Exact inverse of dwt2d (mirrors the row/column order of the analysis)."""
     a = dec.approx
     for triple in reversed(dec.levels):
-        lo = _interleave(*_polyphase(a, triple.h, fb, 0, adjoint=True), 0)
-        hi = _interleave(*_polyphase(triple.v, triple.d, fb, 0, adjoint=True), 0)
-        a = _interleave(*_polyphase(lo, hi, fb, 1, adjoint=True), 1)
+        lo = _synthesis(a, triple.h, 0, fb)
+        hi = _synthesis(triple.v, triple.d, 0, fb)
+        a = _synthesis(lo, hi, 1, fb)
     return a

@@ -1,11 +1,16 @@
 """Certification of the embedded filter banks and the QMF/synthesis rules."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import wavequant
 from wavequant.filters import SUPPORTED_WAVELETS, get_filter, qmf_highpass
 from wavequant.transform import Decomposition, SubbandTriple, idwt2d
 
@@ -102,6 +107,82 @@ def test_synthesis_is_time_reversal(name):
     for approx, details, expected in cases:
         dec = Decomposition(approx, (SubbandTriple(*details),))
         assert_allclose(idwt2d(dec, fb), expected, atol=1e-15)
+
+
+def _laurent_product(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0.0) + x * y
+    return out
+
+
+def _laurent_sum(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0.0) + v
+    return out
+
+
+def lifting_polyphase(fb):
+    """float64 product of the lifting steps and scaling, as {power: coeff} entries.
+
+    Entry [r][c] maps input channel c (0 even, 1 odd samples) to output r
+    (0 approx, 1 detail); power p is the advance z^p, x[k] -> x[k + p].
+    """
+    m = [[{0: 1.0}, {}], [{}, {0: 1.0}]]
+    for target, terms in fb.steps:
+        t = dict(terms)
+        m[target] = [_laurent_sum(m[target][c], _laurent_product(t, m[1 - target][c]))
+                     for c in (0, 1)]
+    return [
+        [{p + shift: scale * v for p, v in entry.items()} for entry in row]
+        for row, (scale, shift) in zip(m, fb.scaling)
+    ]
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_lifting_steps_multiply_to_the_polyphase_matrix(name):
+    # [[He, Ho], [Ge, Go]] with He(z) = sum_m h[2m] z^m: the phase of
+    # approx[k] = sum_n h[n] x[(2k + n) mod N]
+    fb = get_filter(name)
+    table = [
+        [dict(enumerate(fb.lowpass[0::2])), dict(enumerate(fb.lowpass[1::2]))],
+        [dict(enumerate(fb.highpass[0::2])), dict(enumerate(fb.highpass[1::2]))],
+    ]
+    product = lifting_polyphase(fb)
+    for r in (0, 1):
+        for c in (0, 1):
+            want, got = table[r][c], product[r][c]
+            for power in set(want) | set(got):
+                err = abs(got.get(power, 0.0) - want.get(power, 0.0))
+                assert err <= 1e-15, f"entry ({r}, {c}) power {power}: {err:.3g}"
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_lifting_steps_are_bounded(name):
+    # large steps or scales would amplify rounding in both directions
+    fb = get_filter(name)
+    for _, terms in fb.steps:
+        assert len({power for power, _ in terms}) == len(terms)  # lifting_polyphase relies on it
+        for _, coeff in terms:
+            assert abs(coeff) <= 10
+    for scale, _ in fb.scaling:
+        assert 0.1 <= abs(scale) <= 10
+
+
+def test_derivation_tools_are_not_runtime_imports():
+    # the lifting steps were derived offline in high precision; the tool never needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(wavequant.__file__).parents[1]))
+    code = (
+        "import sys, wavequant.cli; "
+        "print(sorted(m for m in ('mpmath', 'sympy', 'scipy') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_get_filter_rejects_unknown_names():

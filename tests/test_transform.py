@@ -138,6 +138,60 @@ def test_dwt2d_deeper_levels_match_dense_operator(name, shape):
     assert_allclose(dec.approx, approx, atol=1e-10)
 
 
+ORACLE_CASES = [
+    (shape, depth)
+    for shape in SHAPES + ((8, 8), (32, 16), (16, 64))
+    for depth in (1, 2, 3)
+    if shape[0] % 2 ** depth == 0 and shape[1] % 2 ** depth == 0
+]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("shape, depth", ORACLE_CASES)
+def test_dwt2d_matches_dense_operator_closely_on_pixel_planes(name, shape, depth):
+    # 0-255 planes as the pipeline feeds them; 8x8 at depth 3 ends on 1x1 bands
+    fb = get_filter(name)
+    x = np.random.default_rng(7 * shape[0] + shape[1] + depth).uniform(0, 255, shape)
+    dec = dwt2d(x, fb, depth)
+    approx = x
+    for triple in dec.levels:
+        height, width = approx.shape
+        w_h = dense_analysis_matrix(height, fb.lowpass, fb.highpass)
+        w_w = dense_analysis_matrix(width, fb.lowpass, fb.highpass)
+        expected = w_h @ approx @ w_w.T
+        top, left = height // 2, width // 2
+        assert_allclose(triple.v, expected[:top, left:], rtol=0, atol=1e-11)
+        assert_allclose(triple.h, expected[top:, :left], rtol=0, atol=1e-11)
+        assert_allclose(triple.d, expected[top:, left:], rtol=0, atol=1e-11)
+        approx = expected[:top, :left]
+    assert_allclose(dec.approx, approx, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_dwt2d_leaves_its_input_unchanged(name):
+    fb = get_filter(name)
+    plane = np.random.default_rng(31).uniform(0, 255, (16, 32))
+    before = plane.copy()
+    dwt2d(plane, fb, 2)
+    assert np.array_equal(plane, before)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_idwt2d_accepts_read_only_bands(name):
+    # the pipeline shares one approximation across every L
+    fb = get_filter(name)
+    plane = np.random.default_rng(37).uniform(0, 255, (16, 32))
+    dec = dwt2d(plane, fb, 2)
+    bands = [dec.approx] + [band for triple in dec.levels for band in triple]
+    copies = [band.copy() for band in bands]
+    for band in bands:
+        band.setflags(write=False)
+    recon = idwt2d(dec, fb)
+    assert np.max(np.abs(recon - plane)) < 1e-9
+    for band, before in zip(bands, copies):
+        assert np.array_equal(band, before)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_idwt2d_inverts_dwt2d_on_short_planes(name, shape):
