@@ -37,13 +37,17 @@ of the input.  Unlike fsum, a sum raises only when its exact value
 overflows float64, never for an overflowing partial sum.
 
 A value's block is the count of cuts at or below it, so a tie goes to the
-upper block.  The cuts nest, so one refinement pass builds a band's block
-index in place: all zeros for the overall moments, then one added per
-mu -/+ sigma cut for the tail moments, then one per surviving tail cut up
-to the finest requested L.  The blocks of a coarser L are unions of those
-fine blocks, whose exact sums add, so each L maps the band through a table
-of at most 7 centroids.  threshold_subband takes one L or a sequence of L
-and builds tables only; a BlockPartition is built by build_partition alone.
+upper block.  Only mu and sigma read the whole band: one split of the values
+and one of their squared deviations from mu.  The centre block [mu-sigma,
+mu+sigma) is never cut again, so everything after that reads only the tail
+members: their means and stds, the L=5 and L=7 cuts, which refine the tail
+members' block index in place, and the exact totals of the fine tail blocks.
+The centre's size and total follow by exact subtraction from the band's, and
+its block is the count of surviving lower-tail cuts plus one.  The blocks of
+a coarser L are unions of those fine blocks, whose exact sums add, so each L
+maps the band through a table of at most 7 centroids.  threshold_subband
+takes one L or a sequence of L and builds tables only; a BlockPartition is
+built by build_partition alone.
 
 Input contract, checked once per public call: a nonempty set of finite
 coefficients; L in LEVEL_CHOICES, or a nonempty sequence of distinct such L;
@@ -53,6 +57,7 @@ and statistics that fit in float64.  Any violation raises ValueError.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -136,16 +141,18 @@ class _Summands:
 
     def __init__(self, values: np.ndarray) -> None:
         mant, exp = np.frexp(values)
-        lowest = int(exp.min())
-        self.span = int(exp.max()) - lowest + 1
+        # no values take the top exponent, so that they never lower a shift
+        lowest = int(exp.min(initial=sys.float_info.max_exp))
+        self.span = int(exp.max(initial=lowest)) - lowest + 1
         self.shift = lowest - 53
         exp -= lowest
         self.bins = exp
-        # high = floor(m / 2**26) and low = m - high * 2**26, computed in place
-        self.high = np.floor(np.ldexp(mant, 27))
-        self.low = np.ldexp(mant, 27, out=mant)
-        self.low -= self.high
-        self.low *= 2.0**26
+        # high = floor(m / 2**26) and low = m - high * 2**26; scaling by a power of two is exact
+        mant *= 2.0**27
+        self.high = np.floor(mant)
+        mant -= self.high
+        mant *= 2.0**26
+        self.low = mant
 
     def totals(self, groups: np.ndarray, count: int) -> list[int]:
         """The exact sum of each group 0..count-1, as an int t standing for t * 2**shift."""
@@ -183,41 +190,48 @@ def _stds(deviations: np.ndarray, groups: np.ndarray, sizes: list[int]) -> list[
     which are squared in place."""
     with np.errstate(over="ignore"):
         squares = np.square(deviations, out=deviations)
-    if not math.isfinite(squares.max()):
+    if not math.isfinite(squares.max(initial=0.0)):
         raise _overflow()
     parts = _Summands(squares)
     return [math.sqrt(v) for v in parts.means(parts.totals(groups, len(sizes)), sizes)]
 
 
-def _refine(arr: np.ndarray, top: int) -> tuple[_Summands, dict[int, list[float]], np.ndarray]:
-    """The summands of arr, the sorted raw cuts of every L up to top, and each value's
-    block under the cuts of top: the count of those cuts at or below it.
+def _refine(
+    arr: np.ndarray, top: int
+) -> tuple[_Summands, dict[int, list[float]], np.ndarray, list[int], list[int]]:
+    """The summands of arr, the sorted raw cuts of every L up to top, each value's
+    block under the cuts of top (the count of those cuts at or below it), and the
+    size and exact total of each of those blocks.
 
-    Each L extends the cuts of the one below, so one index grows in place: all
-    zeros for the overall moments, then 0, 1, 2 below, inside and at or above
-    mu -/+ sigma for the tails, then one more for each tail cut that survives.
+    Only mu and sigma read every value.  The centre block [mu-sigma, mu+sigma) is
+    never cut again, so the tails' moments, their cuts and their block totals come
+    from the tail members alone; the centre's total is the overall total minus the
+    tails'.
     """
     parts = _Summands(arr)
     index = np.zeros(arr.shape, dtype=np.uint8)
-    (mean,) = parts.means(parts.totals(index, 1), [arr.size])
+    (total,) = parts.totals(index, 1)
+    mean = parts.round(total) / arr.size
     (std,) = _stds(arr - mean, index, [arr.size])
     if std == 0.0:
-        return parts, {level: [] for level in LEVEL_CHOICES}, index
+        return parts, {level: [] for level in LEVEL_CHOICES}, index, [arr.size], [total]
     cuts = [mean - std, mean + std]
     by_level = {3: cuts.copy()}
     for cut in cuts:
         index += arr >= cut
+    members = np.flatnonzero(index != 1)
+    tail, tail_index = arr[members], index[members]
+    tail_parts = _Summands(tail)
     if top >= 5:
-        sizes = np.bincount(index, minlength=3).tolist()
-        means = parts.means(parts.totals(index, 3), sizes)
+        # 0 and 2 for the lower and upper tail; the centre group is empty
+        sizes = np.bincount(tail_index, minlength=3).tolist()
+        means = tail_parts.means(tail_parts.totals(tail_index, 3), sizes)
         # each nonempty tail: its group, the interval its cuts fall in, the side of its L=7 cut
         tails = [(0, -math.inf, cuts[0], -1.0), (2, cuts[1], math.inf, 1.0)]
         tails = [t for t in tails if sizes[t[0]]]
         candidates = {5: [(means[group], lo, hi) for group, lo, hi, _ in tails]}
         if top == 7:
-            # the centre keeps its deviations from mu, whose squares are known to fit
-            means[1] = mean
-            stds = _stds(arr - np.array(means)[index], index, sizes)
+            stds = _stds(tail - np.array(means)[tail_index], tail_index, sizes)
             candidates[7] = [
                 (means[group] + side * stds[group], lo, hi)
                 for group, lo, hi, side in tails
@@ -227,9 +241,20 @@ def _refine(arr: np.ndarray, top: int) -> tuple[_Summands, dict[int, list[float]
             for cut, lo, hi in refinement:
                 if lo < cut < hi and cut not in cuts:
                     cuts.append(cut)
-                    index += arr >= cut
+                    tail_index += tail >= cut
             by_level[level] = sorted(cuts)
-    return parts, by_level, index
+    # every centre value sits above each lower-tail cut and below each upper-tail cut
+    centre = 1 + sum(cut < cuts[0] for cut in cuts)
+    sizes = np.bincount(tail_index, minlength=len(cuts) + 1).tolist()
+    sizes[centre] = arr.size - len(members)
+    # a subset's lowest exponent is never below the whole set's, so the shift is >= 0
+    shift = tail_parts.shift - parts.shift
+    totals = [t << shift for t in tail_parts.totals(tail_index, len(sizes))]
+    totals[centre] = total - sum(totals)
+    if centre > 1:
+        index += centre - 1
+    index[members] = tail_index
+    return parts, by_level, index, sizes, totals
 
 
 def threshold_cuts(coeffs, levels: int) -> list[float]:
@@ -245,10 +270,9 @@ def build_partition(coeffs, levels: int) -> BlockPartition:
     """Partition the coefficients into at most L centroid blocks; an empty block's
     span goes to a neighbor."""
     _check_level(levels)
-    parts, by_level, index = _refine(_checked(coeffs), levels)
+    parts, by_level, _, sizes, totals = _refine(_checked(coeffs), levels)
     cuts = by_level[levels]
-    sizes = np.bincount(index, minlength=len(cuts) + 1).tolist()
-    centroids = parts.means(parts.totals(index, len(sizes)), sizes)
+    centroids = parts.means(totals, sizes)
     used = [block for block, size in enumerate(sizes) if size]
     return BlockPartition(
         np.array([cuts[block - 1] for block in used[1:]]),
@@ -277,10 +301,8 @@ def threshold_subband(
     entries) per L, in levels order, so tables[k][index] is the k-th result.
     """
     batch, single = level_batch(levels)
-    parts, by_level, index = _refine(_checked(mat), max(batch))
+    parts, by_level, index, sizes, totals = _refine(_checked(mat), max(batch))
     fine = by_level[max(batch)]
-    sizes = np.bincount(index, minlength=len(fine) + 1).tolist()
-    totals = parts.totals(index, len(sizes))
     tables = []
     for level in batch:
         cuts = by_level[level]

@@ -269,6 +269,66 @@ def test_threshold_matches_brute_force_oracle():
             assert out.tolist() == expected, f"trial {trial} levels {levels}"
 
 
+# Each case pins one shape of the centre block, which is never cut past L=3 and
+# whose size and total come from those of the tails: a band, and a check that it
+# has that shape given its L=3 cuts lo, hi and its L=7 cuts.
+TAIL_CASES = {
+    "centre-block-3": (  # both lower-tail cuts survive at L=7
+        np.random.default_rng(29).laplace(scale=3.0, size=64),
+        lambda band, lo, hi, fine: 1 + sum(cut < lo for cut in fine) == 3,
+    ),
+    "no-lower-tail": (
+        np.array([0.0, 0.0, 0.0, 0.0, 10.0]),
+        lambda band, lo, hi, fine: not np.any(band < lo),
+    ),
+    "empty-centre": (  # sigma is below half an ulp of mu
+        np.array([1e16] * 5 + [1e16 + 2]),
+        lambda band, lo, hi, fine: lo == hi,
+    ),
+    "no-tails": (  # sigma rounds above every deviation
+        np.array([-1.0, 1.0] * 3) * float.fromhex("0x1.a6847fc6f339cp+0"),
+        lambda band, lo, hi, fine: np.all((lo <= band) & (band < hi)),
+    ),
+    "tail-exponents-above-centre": (
+        np.array([-64.0, -1e-3, 5e-4, 2e-3, -3e-3, 1e-3, 64.0]),
+        lambda band, lo, hi, fine: (
+            np.frexp(band[(band < lo) | (band >= hi)])[1].min() > np.frexp(band)[1].min()
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_fine_index_and_tables_match_the_cuts_and_oracle(case):
+    band, has_shape = TAIL_CASES[case]
+    lo, hi = threshold_cuts(band, 3)
+    fine = threshold_cuts(band, 7)
+    assert has_shape(band, lo, hi, fine)
+    index, tables = threshold_subband(band, (3, 5, 7), indexed=True)
+    assert index.tolist() == np.searchsorted(fine, band, side="right").tolist()
+    for levels, table in zip((3, 5, 7), tables):
+        assert table[index].tolist() == oracle_threshold(band, levels)
+
+
+def test_only_mu_and_sigma_split_the_whole_band(monkeypatch):
+    band = np.random.default_rng(31).laplace(size=(64, 64))
+    lo, hi = threshold_cuts(band, 3)
+    tails = np.count_nonzero((band < lo) | (band >= hi))
+    assert 0 < tails < band.size
+    sizes = []
+    split = quantize._Summands
+
+    def recording_split(values):
+        sizes.append(values.size)
+        return split(values)
+
+    monkeypatch.setattr(quantize, "_Summands", recording_split)
+    threshold_subband(band, (3, 5, 7))
+    # the values, their squared deviations from mu, the tail members, their squared
+    # deviations from their tail's mean
+    assert sizes == [band.size, band.size, tails, tails]
+
+
 # --- properties against the oracle (hypothesis) ---
 #
 # |x| <= 1e100 keeps every square, and so the pure-Python oracle, in range.
@@ -314,7 +374,9 @@ COEFFS = st.one_of(coefficient_sets(), values_on_the_cuts())
 def test_property_threshold_matches_oracle(coeffs):
     for levels in (3, 5, 7):
         assert threshold_cuts(coeffs, levels) == oracle_cuts(coeffs, levels)
-        assert threshold_subband(coeffs, levels).tolist() == oracle_threshold(coeffs, levels)
+        expected = oracle_threshold(coeffs, levels)
+        assert threshold_subband(coeffs, levels).tolist() == expected
+        assert apply_partition(coeffs, build_partition(coeffs, levels)).tolist() == expected
     for batch in ((3, 5, 7), (3, 5), (5, 7)):
         for levels, out in zip(batch, threshold_subband(coeffs, batch)):
             assert out.tolist() == oracle_threshold(coeffs, levels)

@@ -32,14 +32,14 @@ def row_synthesis(ca, cd, fb):
     return idwt2d(dec, fb)[0]
 
 
-def test_dwt1d_constant_signal():
+def test_row_analysis_constant_signal():
     fb = get_filter("db4")
     ca, cd = row_analysis(np.full(8, 3.0), fb)
     assert_allclose(ca, math.sqrt(2) * 3.0, atol=1e-12)
     assert_allclose(cd, 0.0, atol=1e-12)
 
 
-def test_dwt1d_unit_impulse_matches_dense_operator():
+def test_row_analysis_unit_impulse_matches_dense_operator():
     fb = get_filter("db2")
     x = np.array([1.0, 0.0, 0.0, 0.0])
     W = dense_analysis_matrix(4, fb.lowpass, fb.highpass)
@@ -81,12 +81,12 @@ def test_idwt1d_inverts_dwt1d(name):
     assert np.max(np.abs(row_synthesis(*row_analysis(x, fb), fb) - x)) < 1e-9
 
 
-def test_idwt1d_zero_in_zero_out():
+def test_row_synthesis_zero_in_zero_out():
     fb = get_filter("coif2")
     assert_allclose(row_synthesis(np.zeros(4), np.zeros(4), fb), 0.0, atol=0)
 
 
-def test_idwt1d_constant_approx():
+def test_row_synthesis_constant_approx():
     fb = get_filter("db6")
     c = 5.0
     out = row_synthesis(np.full(8, math.sqrt(2) * c), np.zeros(8), fb)
