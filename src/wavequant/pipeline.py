@@ -13,9 +13,9 @@ L's inverse runs.  Equal channels are processed once.
 run_sweep streams a whole (image, wavelet, L) grid: each RGB reconstruction
 is handed to a background DEFLATE sizing thread (zlib releases the GIL) the
 moment it is finished, while the calling thread computes the next L, the
-next wavelet or the next image.  Records and callbacks are made one
-(image, wavelet) behind the compute, on the calling thread, in grid order,
-and outstanding sizing is awaited once, at the end of the sweep.
+next wavelet or the next image.  An (image, wavelet)'s sizes are awaited,
+and its records and callbacks made, one (image, wavelet) behind the compute,
+on the calling thread, in grid order.
 """
 
 from __future__ import annotations
@@ -57,21 +57,12 @@ def _to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 255.0, out=values).astype(np.uint8)
 
 
-class _Indexed:
-    """One plane's decomposition, each detail band held as (uint8 index, tables per L)."""
-
-    def __init__(self, dec: Decomposition, batch: Sequence[int]) -> None:
-        self.approx = dec.approx
-        self.levels = [
-            [threshold_subband(band, batch, indexed=True) for band in triple]
-            for triple in dec.levels
-        ]
-
-    def at(self, k: int) -> Decomposition:
-        """The decomposition thresholded at the k-th L of the batch."""
-        return Decomposition(self.approx, [
-            SubbandTriple(*(tables[k][index] for index, tables in triple)) for triple in self.levels
-        ])
+def _indexed(
+    dec: Decomposition, batch: Sequence[int]
+) -> tuple[np.ndarray, list[list[tuple[np.ndarray, list[np.ndarray]]]]]:
+    """dec's approximation, and per level each detail band as threshold_subband's
+    (uint8 index, tables per L), so that the float detail bands can be dropped."""
+    return dec.approx, [[threshold_subband(b, batch) for b in triple] for triple in dec.levels]
 
 
 def _reconstructions(
@@ -83,9 +74,14 @@ def _reconstructions(
     float detail bands of one L exist only while that L is inverted.
     """
     fb = get_filter(wavelet)
-    indexed = [_Indexed(dwt2d(plane, fb, depth), batch) for plane in planes]
+    indexed = [_indexed(dwt2d(plane, fb, depth), batch) for plane in planes]
     for k in range(len(batch)):
-        yield [_to_uint8(idwt2d(channel.at(k), fb)) for channel in indexed]
+        yield [
+            _to_uint8(idwt2d(Decomposition(approx, [
+                SubbandTriple(*(tables[k][index] for index, tables in triple)) for triple in levels
+            ]), fb))
+            for approx, levels in indexed
+        ]
 
 
 def process_plane(
@@ -190,69 +186,60 @@ def run_sweep(
     then wavelets, then levels; each record's image_id is the image's key.
 
     levels_list is checked once, by level_batch, before any compute.  Each
-    (image, wavelet) is one process_image call for the whole levels list,
-    which reconstructs one L at a time.  Each reconstruction's encoded_size
-    starts on a background thread, at most _SIZE_THREADS at once, as soon as
-    process_image has finished it, while the calling thread goes on to the
-    next L, wavelet or image.  An (image, wavelet)'s records are made and
+    (image, wavelet) is one job: one process_image call for the whole levels
+    list, which reconstructs one L at a time.  As soon as an L is finished,
+    its PSNR is taken and its encoded_size starts on a background thread, at
+    most _SIZE_THREADS at once, while the calling thread goes on to the next
+    L, wavelet or image.  A job's sizes are awaited, its records made and
     on_reconstruction called, on the calling thread and in grid order, only
-    after the next (image, wavelet) is computed, so a failing one still
-    follows the callbacks of the one before it, also across images.  Any
-    failure, also one met on a background thread, aborts the whole sweep,
-    annotated with the image, the wavelet and the levels.  Sizing is awaited
-    once, at the end, and no background thread outlives the call.
+    after the next job is computed, so a failing job still follows the
+    callbacks of the one before it, also across images.  Without a callback
+    a job keeps no reconstruction.  Any failure, also one met on a background
+    thread, aborts the whole sweep, annotated with the image, the wavelet and
+    the levels, and no background thread outlives the call.
     """
     if not wavelets:
         raise ValueError("wavelets list must be nonempty")
     batch, _ = level_batch(levels_list)
     slots = threading.Semaphore(_SIZE_THREADS)
-    started: list[_Size] = []
     records: list[MetricsRecord] = []
 
-    def deliver(image_id: str, wavelet: str, recons: tuple[RgbImage, ...], psnrs: list[float],
-                sizes: list[_Size]) -> None:
+    def deliver(job: list[tuple]) -> None:
+        """Wait for a job's sizes, then make its records and callbacks."""
         try:
-            size_bytes = [size.result() for size in sizes]
+            size_bytes = [size.result() for *_, size in job]
         except Exception as err:
-            raise _failure(image_id, wavelet, batch, err) from err
-        wavelet_records = [
-            MetricsRecord(
-                image_id=image_id, wavelet=wavelet, levels=levels, psnr_db=psnr_db, size_bytes=size
-            )
-            for levels, psnr_db, size in zip(batch, psnrs, size_bytes)
-        ]
-        records.extend(wavelet_records)
-        if on_reconstruction is not None:
-            for record, recon in zip(wavelet_records, recons):
+            raise _failure(*job[0][:2], batch, err) from err
+        for (image_id, wavelet, levels, psnr_db, recon, _), size in zip(job, size_bytes):
+            record = MetricsRecord(image_id, wavelet, levels, psnr_db, size)
+            records.append(record)
+            if on_reconstruction is not None:
                 on_reconstruction(record, recon)
 
-    def start(image_id: str, img: RgbImage, wavelet: str) -> tuple:
-        """Compute one (image, wavelet) and start its sizing; the job to deliver."""
-        first = len(started)
-        recons = process_image(
-            img, wavelet, depth, batch, on_level=lambda recon: started.append(_Size(recon, slots))
-        )
-        psnrs = [psnr(img, recon) for recon in recons]
-        # each size thread holds its own image; keep them here only for the callback
-        kept = recons if on_reconstruction is not None else ()
-        return image_id, wavelet, kept, psnrs, started[first:]
-
-    behind = None  # the (image, wavelet) whose sizes run while the next one computes
+    behind: list[tuple] = []  # the job whose sizes run while the next one computes
+    job: list[tuple] = []
     try:
         for image_id, img in images.items():
             for wavelet in wavelets:
+                job = []
+
+                def on_level(recon: RgbImage) -> None:
+                    # each size thread holds its own image; keep it here only for the callback
+                    kept = recon if on_reconstruction is not None else None
+                    entry = (image_id, wavelet, batch[len(job)], psnr(img, recon), kept)
+                    # nothing can fail between starting a size thread and listing it for the join
+                    job.append((*entry, _Size(recon, slots)))
+
                 try:
-                    ahead = start(image_id, img, wavelet)
+                    process_image(img, wavelet, depth, batch, on_level=on_level)
                 except Exception as err:
                     raise _failure(image_id, wavelet, batch, err) from err
                 finally:
-                    if behind is not None:
-                        deliver(*behind)
-                behind = ahead
-        if behind is not None:
-            deliver(*behind)
+                    deliver(behind)
+                behind = job
+        deliver(behind)
     finally:
-        for size in started:
+        for *_, size in behind + job:
             size.thread.join()
     return records
 

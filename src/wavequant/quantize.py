@@ -46,8 +46,9 @@ The centre's size and total follow by exact subtraction from the band's, and
 its block is the count of surviving lower-tail cuts plus one.  The blocks of
 a coarser L are unions of those fine blocks, whose exact sums add, so each L
 maps the band through a table of at most 7 centroids.  threshold_subband
-takes one L or a sequence of L and builds tables only; a BlockPartition is
-built by build_partition alone.
+takes one L, giving the thresholded band, or a sequence of L, giving the
+block index and one table per L; it builds tables only, and a BlockPartition
+is built by build_partition alone.
 
 Input contract, checked once per public call: a nonempty set of finite
 coefficients; L in LEVEL_CHOICES, or a nonempty sequence of distinct such L;
@@ -288,17 +289,15 @@ def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
 
 
 def threshold_subband(
-    mat, levels: int | Sequence[int], *, indexed: bool = False
-) -> np.ndarray | tuple[np.ndarray, ...] | tuple[np.ndarray, list[np.ndarray]]:
-    """Threshold one sub-band with its own statistics; each result has mat's shape.
+    mat, levels: int | Sequence[int]
+) -> np.ndarray | tuple[np.ndarray, list[np.ndarray]]:
+    """Threshold one sub-band with its own statistics.
 
-    levels is one L, giving one array, or a sequence of L, giving a tuple
-    with one array per L in that order.  The band is checked, summed and
-    indexed once for all of them.
-
-    indexed=True returns the same results unmaterialised, as (index, tables):
-    a uint8 block index shaped like mat and one centroid table (at most 7
-    entries) per L, in levels order, so tables[k][index] is the k-th result.
+    levels is one L, giving the thresholded array, shaped like mat.  A
+    sequence of L gives (index, tables): a uint8 block index shaped like mat
+    and one centroid table (at most 7 entries) per L, in levels order, so
+    tables[k][index] is the result for the k-th L.  The band is checked,
+    summed and indexed once for all of them.
     """
     batch, single = level_batch(levels)
     parts, by_level, index, sizes, totals = _refine(_checked(mat), max(batch))
@@ -314,7 +313,4 @@ def threshold_subband(
             block_totals[block] += total
         tables.append(np.array(parts.means(block_totals, block_sizes))[owner])
     index = index.reshape(np.shape(mat))
-    if indexed:
-        return index, tables
-    results = tuple(table[index] for table in tables)
-    return results[0] if single else results
+    return tables[0][index] if single else (index, tables)

@@ -1,10 +1,12 @@
 """End-to-end per-image processing and the PSNR metric."""
 
+import gc
 import math
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -417,6 +419,41 @@ def test_run_sweep_sizes_each_level_as_soon_as_it_is_reconstructed(monkeypatch):
     first_sizing_of_a = min(i for i, e in enumerate(events) if e[0] == "size" and e[1][0] == "a")
     assert first_sizing_of_a < events.index(("dwt2d", "b"))
     assert sum(e[0] == "size" for e in events) == 6
+
+
+def test_run_sweep_without_callback_holds_no_sized_reconstruction(monkeypatch):
+    # each size thread holds its own image; the sweep itself keeps none of them,
+    # so that at most the reconstructions being sized are alive at once
+    images = {"a": natural_image(32, seed=3), "b": natural_image(32, seed=5)}
+    jobs = []  # per process_image call: (weakref of each image sized, its _Size)
+    alive_at_start = []
+    size, process = pipeline._Size, pipeline.process_image
+
+    def alive():
+        """How many of the images sized so far are alive once their sizing is done."""
+        for sized in jobs:
+            for _, sizing in sized:
+                sizing.thread.join()
+        gc.collect()
+        return sum(image() is not None for sized in jobs for image, _ in sized)
+
+    class RecordingSize(size):
+        def __init__(self, image, slots):
+            super().__init__(image, slots)
+            jobs[-1].append((weakref.ref(image), self))
+
+    def process_image(*args, **kwargs):
+        alive_at_start.append(alive())
+        jobs.append([])
+        return process(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_Size", RecordingSize)
+    monkeypatch.setattr(pipeline, "process_image", process_image)
+    records = run_sweep(images, [DB2, "coif1"], [3, 5, 7], 1)
+    assert len(records) == 12
+    assert [len(sized) for sized in jobs] == [3] * 4
+    assert alive_at_start == [0] * 4
+    assert alive() == 0
 
 
 def test_run_sweep_failing_image_follows_every_callback_of_the_one_before(small_natural_image):

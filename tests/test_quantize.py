@@ -89,27 +89,27 @@ def test_rejects_bad_levels_sequence(levels, message):
 def test_sequence_gives_one_result_per_level_in_order():
     rng = np.random.default_rng(17)
     mat = rng.normal(scale=5.0, size=(6, 9))
-    batched = threshold_subband(mat, [7, 3, 5])
-    assert isinstance(batched, tuple) and len(batched) == 3
-    for levels, out in zip((7, 3, 5), batched):
+    index, tables = threshold_subband(mat, [7, 3, 5])
+    assert len(tables) == 3
+    for levels, table in zip((7, 3, 5), tables):
+        out = table[index]
         single = threshold_subband(mat, levels)
         assert isinstance(single, np.ndarray) and out.shape == mat.shape
         assert np.array_equal(out, single)
-    (only,) = threshold_subband(mat, (5,))
-    assert np.array_equal(only, threshold_subband(mat, 5))
+    index, (only,) = threshold_subband(mat, (5,))
+    assert np.array_equal(only[index], threshold_subband(mat, 5))
 
 
 @pytest.mark.parametrize("levels", (3, (7, 3, 5)))
 def test_indexed_gives_the_same_results_unmaterialised(levels):
     mat = np.random.default_rng(19).normal(scale=5.0, size=(6, 9))
-    index, tables = threshold_subband(mat, levels, indexed=True)
+    batch = (levels,) if np.ndim(levels) == 0 else levels
+    index, tables = threshold_subband(mat, batch)
     assert index.dtype == np.uint8 and index.shape == mat.shape
-    results = threshold_subband(mat, levels)
-    results = (results,) if isinstance(results, np.ndarray) else results
-    assert len(tables) == len(results)
-    for table, out in zip(tables, results):
+    assert len(tables) == len(batch)
+    for level, table in zip(batch, tables):
         assert len(table) <= 7
-        assert np.array_equal(table[index], out)
+        assert np.array_equal(table[index], threshold_subband(mat, level))
 
 
 # --- partition construction ---
@@ -304,9 +304,11 @@ def test_fine_index_and_tables_match_the_cuts_and_oracle(case):
     lo, hi = threshold_cuts(band, 3)
     fine = threshold_cuts(band, 7)
     assert has_shape(band, lo, hi, fine)
-    index, tables = threshold_subband(band, (3, 5, 7), indexed=True)
+    index, tables = threshold_subband(band, (3, 5, 7))
     assert index.tolist() == np.searchsorted(fine, band, side="right").tolist()
+    assert len(tables) == 3
     for levels, table in zip((3, 5, 7), tables):
+        assert np.array_equal(table[index], threshold_subband(band, levels))
         assert table[index].tolist() == oracle_threshold(band, levels)
 
 
@@ -378,8 +380,10 @@ def test_property_threshold_matches_oracle(coeffs):
         assert threshold_subband(coeffs, levels).tolist() == expected
         assert apply_partition(coeffs, build_partition(coeffs, levels)).tolist() == expected
     for batch in ((3, 5, 7), (3, 5), (5, 7)):
-        for levels, out in zip(batch, threshold_subband(coeffs, batch)):
-            assert out.tolist() == oracle_threshold(coeffs, levels)
+        index, tables = threshold_subband(coeffs, batch)
+        assert len(tables) == len(batch)
+        for levels, table in zip(batch, tables):
+            assert table[index].tolist() == oracle_threshold(coeffs, levels)
 
 
 @settings(derandomize=True, deadline=None)
