@@ -11,16 +11,20 @@ exist at a time and each L's reconstruction is finished before the next
 L's inverse runs.  Equal channels are processed once.
 
 run_sweep streams a whole (image, wavelet, L) grid: each RGB reconstruction
-is handed to a background DEFLATE sizing thread (zlib releases the GIL) the
-moment it is finished, while the calling thread computes the next L, the
-next wavelet or the next image.  An (image, wavelet)'s sizes are awaited,
-and its records and callbacks made, one (image, wavelet) behind the compute,
-on the calling thread, in grid order.
+is queued for DEFLATE sizing (zlib releases the GIL) the moment it is
+finished, while the calling thread computes the next L, the next wavelet or
+the next image.  Sizing runs on two workers per sweep at the lowest
+scheduling priority, so they yield the CPU to the calling thread, which
+carries the critical path.  An (image, wavelet)'s sizes are awaited, and
+its records and callbacks made, one (image, wavelet) behind the compute, on
+the calling thread, in grid order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -34,7 +38,7 @@ from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 
 PEAK = 255.0
 _BELOW_HALF = np.nextafter(0.5, 0.0)
-_SIZE_THREADS = 2  # encoded_size calls that may run at once
+_SIZE_THREADS = 2  # encoded_size workers per sweep
 
 
 @dataclass(frozen=True)
@@ -145,27 +149,17 @@ def psnr(orig: RgbImage, recon: RgbImage) -> float:
     return 10.0 * math.log10(PEAK * PEAK / mse)
 
 
-class _Size:
-    """encoded_size(image) on a daemon thread that holds one of the slots while it runs."""
+def _lower_priority() -> None:
+    """Lower the running thread to the lowest scheduling priority, where that is per thread.
 
-    def __init__(self, image: RgbImage, slots: threading.Semaphore) -> None:
-        self._result: int | BaseException = 0
-        self.thread = threading.Thread(target=self._run, args=(image, slots), daemon=True)
-        self.thread.start()
-
-    def _run(self, image: RgbImage, slots: threading.Semaphore) -> None:
-        with slots:
-            try:
-                self._result = encoded_size(image)
-            except BaseException as err:
-                self._result = err
-
-    def result(self) -> int:
-        """The size, once the thread is done; an error it met is raised here."""
-        self.thread.join()
-        if isinstance(self._result, BaseException):
-            raise self._result
-        return self._result
+    On Linux a thread's niceness is its own, so this touches no other thread;
+    elsewhere the call would renice the whole process, so it does nothing.
+    """
+    if sys.platform.startswith("linux"):
+        try:
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+        except OSError:
+            pass
 
 
 def _failure(image_id: str, wavelet: str, batch: Sequence[int], err: Exception) -> RuntimeError:
@@ -188,20 +182,23 @@ def run_sweep(
     levels_list is checked once, by level_batch, before any compute.  Each
     (image, wavelet) is one job: one process_image call for the whole levels
     list, which reconstructs one L at a time.  As soon as an L is finished,
-    its PSNR is taken and its encoded_size starts on a background thread, at
-    most _SIZE_THREADS at once, while the calling thread goes on to the next
-    L, wavelet or image.  A job's sizes are awaited, its records made and
-    on_reconstruction called, on the calling thread and in grid order, only
-    after the next job is computed, so a failing job still follows the
-    callbacks of the one before it, also across images.  Without a callback
-    a job keeps no reconstruction.  Any failure, also one met on a background
-    thread, aborts the whole sweep, annotated with the image, the wavelet and
-    the levels, and no background thread outlives the call.
+    its PSNR is taken and its encoded_size is queued for one of
+    _SIZE_THREADS workers, at the lowest scheduling priority, while the
+    calling thread goes on to the next L, wavelet or image.  A job's sizes
+    are awaited, its records made and on_reconstruction called, on the
+    calling thread and in grid order, only after the next job is computed,
+    so a failing job still follows the callbacks of the one before it, also
+    across images.  Without a callback a job keeps no reconstruction.  Any
+    failure, also one met by a worker, aborts the whole sweep, annotated
+    with the image, the wavelet and the levels; queued sizes are then
+    dropped, and no worker outlives the call.
     """
+    # imported here: concurrent.futures loads logging, which the CLI's import should not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
     if not wavelets:
         raise ValueError("wavelets list must be nonempty")
     batch, _ = level_batch(levels_list)
-    slots = threading.Semaphore(_SIZE_THREADS)
     records: list[MetricsRecord] = []
 
     def deliver(job: list[tuple]) -> None:
@@ -216,19 +213,18 @@ def run_sweep(
             if on_reconstruction is not None:
                 on_reconstruction(record, recon)
 
-    behind: list[tuple] = []  # the job whose sizes run while the next one computes
-    job: list[tuple] = []
+    pool = ThreadPoolExecutor(_SIZE_THREADS, initializer=_lower_priority)
     try:
+        behind: list[tuple] = []  # the job whose sizes run while the next one computes
         for image_id, img in images.items():
             for wavelet in wavelets:
-                job = []
+                job: list[tuple] = []
 
                 def on_level(recon: RgbImage) -> None:
-                    # each size thread holds its own image; keep it here only for the callback
+                    # the queued call holds its own image; keep it here only for the callback
                     kept = recon if on_reconstruction is not None else None
                     entry = (image_id, wavelet, batch[len(job)], psnr(img, recon), kept)
-                    # nothing can fail between starting a size thread and listing it for the join
-                    job.append((*entry, _Size(recon, slots)))
+                    job.append((*entry, pool.submit(encoded_size, recon)))
 
                 try:
                     process_image(img, wavelet, depth, batch, on_level=on_level)
@@ -239,8 +235,7 @@ def run_sweep(
                 behind = job
         deliver(behind)
     finally:
-        for *_, size in behind + job:
-            size.thread.join()
+        pool.shutdown(cancel_futures=True)
     return records
 
 

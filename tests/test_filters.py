@@ -172,11 +172,13 @@ def test_lifting_steps_are_bounded(name):
 
 
 def test_derivation_tools_are_not_runtime_imports():
-    # the lifting steps were derived offline in high precision; the tool never needs it
+    # the lifting steps were derived offline in high precision; the tool never needs it.
+    # Nor does the import need the sizing workers' concurrent.futures, which loads logging.
     env = dict(os.environ, PYTHONPATH=str(Path(wavequant.__file__).parents[1]))
     code = (
         "import sys, wavequant.cli; "
-        "print(sorted(m for m in ('mpmath', 'sympy', 'scipy') if m in sys.modules))"
+        "print(sorted(m for m in ('mpmath', 'sympy', 'scipy', 'concurrent.futures', 'logging') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import os
 import sys
 import threading
 import time
@@ -290,7 +291,7 @@ def _failing_wavelet_run(img, monkeypatch, fail_in):
         return process(image, wavelet, *args, on_level=mark)
 
     def encoded_size(recon):
-        time.sleep(0.02)  # so that a size thread the run did not join is still alive
+        time.sleep(0.02)  # so that a worker the run did not join is still alive
         if id(recon) in bad:
             raise ValueError("boom")
         return size(recon)
@@ -422,38 +423,86 @@ def test_run_sweep_sizes_each_level_as_soon_as_it_is_reconstructed(monkeypatch):
 
 
 def test_run_sweep_without_callback_holds_no_sized_reconstruction(monkeypatch):
-    # each size thread holds its own image; the sweep itself keeps none of them,
-    # so that at most the reconstructions being sized are alive at once
+    # each queued sizing call holds its own image; the sweep itself keeps none
+    # of them, so that at most the reconstructions waiting or being sized are alive
     images = {"a": natural_image(32, seed=3), "b": natural_image(32, seed=5)}
-    jobs = []  # per process_image call: (weakref of each image sized, its _Size)
+    jobs = []  # per process_image call: (weakref of each image sized, set as its call returns)
     alive_at_start = []
-    size, process = pipeline._Size, pipeline.process_image
+    size, process = pipeline.encoded_size, pipeline.process_image
 
     def alive():
-        """How many of the images sized so far are alive once their sizing is done."""
-        for sized in jobs:
-            for _, sizing in sized:
-                sizing.thread.join()
-        gc.collect()
-        return sum(image() is not None for sized in jobs for image, _ in sized)
+        """How many of the images sized so far are alive once their sizing is done.
 
-    class RecordingSize(size):
-        def __init__(self, image, slots):
-            super().__init__(image, slots)
-            jobs[-1].append((weakref.ref(image), self))
+        A worker drops the image it sized just after the call returns, so the
+        release gets a bounded wait.
+        """
+        sized = [entry for job in jobs for entry in job]
+        for _, returned in sized:
+            assert returned.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while True:
+            gc.collect()
+            count = sum(image() is not None for image, _ in sized)
+            if count == 0 or time.monotonic() > deadline:
+                return count
+            time.sleep(0.001)
 
     def process_image(*args, **kwargs):
         alive_at_start.append(alive())
-        jobs.append([])
+        job = []
+        jobs.append(job)
+
+        def encoded_size(image):
+            returned = threading.Event()
+            job.append((weakref.ref(image), returned))
+            try:
+                return size(image)
+            finally:
+                returned.set()
+
+        # on_level looks the name up as it queues a call, so each call records into its own job
+        monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
         return process(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_Size", RecordingSize)
     monkeypatch.setattr(pipeline, "process_image", process_image)
     records = run_sweep(images, [DB2, "coif1"], [3, 5, 7], 1)
     assert len(records) == 12
     assert [len(sized) for sized in jobs] == [3] * 4
     assert alive_at_start == [0] * 4
     assert alive() == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="niceness is per thread on Linux")
+def test_run_sweep_sizes_at_idle_priority_off_the_calling_thread(small_natural_image, monkeypatch):
+    def niceness():
+        return os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+
+    caller, caller_niceness = threading.get_ident(), niceness()
+    calls = []  # per encoded_size call: (thread, its niceness)
+
+    def sized(img):
+        calls.append((threading.get_ident(), niceness()))
+        return encoded_size(img)
+
+    monkeypatch.setattr(pipeline, "encoded_size", sized)
+    run_sweep({"s": small_natural_image}, WAVELETS3, [3, 5], 1)
+    assert len(calls) == 6
+    assert all(thread != caller and nice == 19 for thread, nice in calls)
+    assert niceness() == caller_niceness
+
+
+def test_run_sweep_sizes_18_reconstructions_on_at_most_size_threads(small_natural_image, monkeypatch):
+    threads = []
+
+    def sized(img):
+        threads.append(threading.get_ident())
+        return encoded_size(img)
+
+    monkeypatch.setattr(pipeline, "encoded_size", sized)
+    images = {"a": small_natural_image, "b": natural_image(32, seed=3)}
+    records = run_sweep(images, WAVELETS3, [3, 5, 7], 1)
+    assert len(records) == len(threads) == 18
+    assert len(set(threads)) <= pipeline._SIZE_THREADS
 
 
 def test_run_sweep_failing_image_follows_every_callback_of_the_one_before(small_natural_image):
