@@ -15,9 +15,12 @@ is queued for DEFLATE sizing (zlib releases the GIL) the moment it is
 finished, while the calling thread computes the next L, the next wavelet or
 the next image.  Sizing runs on two workers per sweep at the lowest
 scheduling priority, so they yield the CPU to the calling thread, which
-carries the critical path.  An (image, wavelet)'s sizes are awaited, and
-its records and callbacks made, one (image, wavelet) behind the compute, on
-the calling thread, in grid order.
+carries the critical path.  Once its sizes and those of every earlier one
+are done, an (image, wavelet) is delivered, its records and callbacks made
+(emitted images are written then), on the calling thread and in grid order,
+at the end of the next compute; the calling thread waits for sizes only
+while more than a small backlog of them is undelivered, and at the end of
+the sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import os
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -39,6 +43,7 @@ from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
 PEAK = 255.0
 _BELOW_HALF = np.nextafter(0.5, 0.0)
 _SIZE_THREADS = 2  # encoded_size workers per sweep
+_BACKLOG = 4 * _SIZE_THREADS  # undelivered sizes past which the calling thread waits for them
 
 
 @dataclass(frozen=True)
@@ -184,14 +189,19 @@ def run_sweep(
     list, which reconstructs one L at a time.  As soon as an L is finished,
     its PSNR is taken and its encoded_size is queued for one of
     _SIZE_THREADS workers, at the lowest scheduling priority, while the
-    calling thread goes on to the next L, wavelet or image.  A job's sizes
-    are awaited, its records made and on_reconstruction called, on the
-    calling thread and in grid order, only after the next job is computed,
-    so a failing job still follows the callbacks of the one before it, also
-    across images.  Without a callback a job keeps no reconstruction.  Any
-    failure, also one met by a worker, aborts the whole sweep, annotated
-    with the image, the wavelet and the levels; queued sizes are then
-    dropped, and no worker outlives the call.
+    calling thread goes on to the next L, wavelet or image.  After each
+    job's compute, every job at the head of the undelivered ones whose
+    sizes are all done is delivered, without waiting: its records are made
+    and on_reconstruction called, on the calling thread and in grid order.
+    The calling thread waits for the oldest job's sizes only while more
+    than _BACKLOG sizes are undelivered, and at the end.  A job whose
+    compute fails is preceded by the delivery of every earlier job, so a
+    failing job still follows the callbacks of the ones before it, also
+    across images, and the error raised is the earliest in grid order.
+    Without a callback a job keeps no reconstruction.  Any failure, also
+    one met by a worker, aborts the whole sweep, annotated with the image,
+    the wavelet and the levels; queued sizes are then dropped, and no
+    worker outlives the call.
     """
     # imported here: concurrent.futures loads logging, which the CLI's import should not pay for
     from concurrent.futures import ThreadPoolExecutor
@@ -201,21 +211,27 @@ def run_sweep(
     batch, _ = level_batch(levels_list)
     records: list[MetricsRecord] = []
 
-    def deliver(job: list[tuple]) -> None:
-        """Wait for a job's sizes, then make its records and callbacks."""
-        try:
-            size_bytes = [size.result() for *_, size in job]
-        except Exception as err:
-            raise _failure(*job[0][:2], batch, err) from err
-        for (image_id, wavelet, levels, psnr_db, recon, _), size in zip(job, size_bytes):
-            record = MetricsRecord(image_id, wavelet, levels, psnr_db, size)
-            records.append(record)
-            if on_reconstruction is not None:
-                on_reconstruction(record, recon)
+    pending: deque[list[tuple]] = deque()  # computed jobs not yet delivered, in grid order
+
+    def deliver(backlog: int) -> None:
+        """Deliver the head jobs whose sizes are done, in grid order, and wait
+        for the head's sizes while more than backlog sizes are undelivered."""
+        undelivered = sum(map(len, pending))
+        while pending and (undelivered > backlog or all(size.done() for *_, size in pending[0])):
+            job = pending.popleft()
+            undelivered -= len(job)
+            try:
+                size_bytes = [size.result() for *_, size in job]
+            except Exception as err:
+                raise _failure(*job[0][:2], batch, err) from err
+            for (image_id, wavelet, levels, psnr_db, recon, _), size in zip(job, size_bytes):
+                record = MetricsRecord(image_id, wavelet, levels, psnr_db, size)
+                records.append(record)
+                if on_reconstruction is not None:
+                    on_reconstruction(record, recon)
 
     pool = ThreadPoolExecutor(_SIZE_THREADS, initializer=_lower_priority)
     try:
-        behind: list[tuple] = []  # the job whose sizes run while the next one computes
         for image_id, img in images.items():
             for wavelet in wavelets:
                 job: list[tuple] = []
@@ -229,11 +245,11 @@ def run_sweep(
                 try:
                     process_image(img, wavelet, depth, batch, on_level=on_level)
                 except Exception as err:
+                    deliver(0)
                     raise _failure(image_id, wavelet, batch, err) from err
-                finally:
-                    deliver(behind)
-                behind = job
-        deliver(behind)
+                pending.append(job)
+                deliver(_BACKLOG)
+        deliver(0)
     finally:
         pool.shutdown(cancel_futures=True)
     return records

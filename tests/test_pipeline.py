@@ -517,3 +517,116 @@ def test_run_sweep_failing_image_follows_every_callback_of_the_one_before(small_
     assert isinstance(info.value.__cause__, ValueError)
     assert seen == want
     assert threading.active_count() == threads_before
+
+
+def test_run_sweep_computes_ahead_of_slow_sizing(monkeypatch):
+    # three single-L jobs fit in the backlog, so no job's compute waits for a size
+    assert len(WAVELETS3) <= pipeline._BACKLOG
+    events = []
+    last_started = threading.Event()
+    process, size = pipeline.process_image, pipeline.encoded_size
+
+    def process_image(image, wavelet, *args, **kwargs):
+        events.append(("start", wavelet))
+        if wavelet == WAVELETS3[-1]:
+            last_started.set()
+        return process(image, wavelet, *args, **kwargs)
+
+    def encoded_size(recon):
+        # a sweep that waits for this size before the last compute goes on after the
+        # timeout, and the order check below fails
+        last_started.wait(timeout=5)
+        out = size(recon)
+        events.append(("sized", None))
+        return out
+
+    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
+    records = run_sweep({"a": natural_image(32, seed=3)}, WAVELETS3, [3], 1)
+    assert [r.wavelet for r in records] == WAVELETS3
+    first_sized = events.index(("sized", None))
+    assert events[:first_sized] == [("start", wavelet) for wavelet in WAVELETS3]
+
+
+def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch):
+    batch = [3, 5]
+    submitted, delivered = [], []  # weakref of each image queued for sizing; each record delivered
+    # undelivered at each process_image start and after each queued size; images alive at each start
+    at_start, after_queueing, alive_at_start = [], [], []
+    process, size = pipeline.process_image, pipeline.encoded_size
+
+    def process_image(*args, on_level):
+        at_start.append(len(submitted) - len(delivered))
+        gc.collect()
+        alive_at_start.append(sum(image() is not None for image in submitted))
+
+        def counted(recon):
+            on_level(recon)
+            submitted.append(weakref.ref(recon))
+            after_queueing.append(len(submitted) - len(delivered))
+
+        return process(*args, on_level=counted)
+
+    def encoded_size(recon):
+        time.sleep(0.01)  # sizing far slower than the compute of a 32x32 image
+        return size(recon)
+
+    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
+    records = run_sweep(
+        {"a": natural_image(32, seed=3)}, SUPPORTED_WAVELETS, batch, 1,
+        lambda rec, recon: delivered.append(rec),
+    )
+    assert records == delivered and len(records) == len(SUPPORTED_WAVELETS) * len(batch)
+    bound = pipeline._BACKLOG + len(batch)
+    assert max(at_start + after_queueing) <= bound
+    assert max(alive_at_start) <= bound
+    # the compute ran ahead of the sizes by more than the one job a wait on each job leaves
+    assert max(at_start) > len(batch)
+
+
+@pytest.mark.parametrize("worker_fails", [True, False])
+def test_run_sweep_earliest_failure_in_grid_order_wins_over_a_deep_backlog(
+    small_natural_image, monkeypatch, worker_fails
+):
+    # single-L jobs; every size waits until job 3's compute fails, so jobs 0-2 are all pending then
+    assert pipeline._BACKLOG >= 3
+    threads_before = threading.active_count()
+    wavelets = list(SUPPORTED_WAVELETS[:5])
+    bad_size, bad_compute = wavelets[1], wavelets[3]
+    failing = threading.Event()
+    bad = set()
+    seen, delivered_at_failure = [], []
+    process, size = pipeline.process_image, pipeline.encoded_size
+
+    def process_image(image, wavelet, *args, on_level):
+        if wavelet == bad_compute:
+            delivered_at_failure.append(len(seen))
+            failing.set()
+            raise ValueError("compute boom")
+
+        def mark(recon):
+            if worker_fails and wavelet == bad_size:
+                bad.add(id(recon))
+            on_level(recon)
+
+        return process(image, wavelet, *args, on_level=mark)
+
+    def encoded_size(recon):
+        failing.wait(timeout=10)
+        if id(recon) in bad:
+            raise ValueError("size boom")
+        return size(recon)
+
+    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
+    with pytest.raises(RuntimeError) as info:
+        run_sweep({"f": small_natural_image}, wavelets, [3], 1, lambda rec, recon: seen.append(rec))
+    monkeypatch.undo()
+    assert delivered_at_failure == [0]
+    failed, cause = (bad_size, "size boom") if worker_fails else (bad_compute, "compute boom")
+    assert str(info.value) == f"processing failed for image=f wavelet={failed} levels=3: {cause}"
+    assert isinstance(info.value.__cause__, ValueError)
+    # every job before the failed one, in order; nothing of it or after it
+    assert seen == run_experiment(small_natural_image, "f", wavelets[:wavelets.index(failed)], [3], 1)
+    assert threading.active_count() == threads_before
