@@ -2,25 +2,26 @@
 
 Per channel: forward DWT, threshold every detail sub-band of every level
 with its own statistics (the approximation is never touched), inverse DWT,
-round half away from zero, clamp to [0, 255].  For a sequence of L the
-forward DWT runs once per channel and each sub-band is thresholded once,
-into a uint8 block index and one small centroid table per L; the float
-detail bands are dropped.  Then each L in turn gathers its bands from the
-tables and runs the inverse DWT of every channel, so one L's detail bands
-exist at a time and each L's reconstruction is finished before the next
-L's inverse runs.  Equal channels are processed once.
+round half away from zero, clamp to [0, 255].  One generator serves a
+batch of L: the forward DWT runs once per channel and each sub-band is
+thresholded once, into a uint8 block index and one small centroid table
+per L; the float detail bands are dropped.  Then each L in turn gathers
+its bands from the tables and runs the inverse DWT of every channel, so
+one L's detail bands exist at a time and each L's image is yielded before
+the next L's inverse runs.  Equal channels are processed once.
+process_plane and process_image run it for one L.
 
-run_sweep streams a whole (image, wavelet, L) grid: each RGB reconstruction
-is queued for DEFLATE sizing (zlib releases the GIL) the moment it is
-finished, while the calling thread computes the next L, the next wavelet or
-the next image.  Sizing runs on two workers per sweep at the lowest
-scheduling priority, so they yield the CPU to the calling thread, which
-carries the critical path.  Once its sizes and those of every earlier one
-are done, an (image, wavelet) is delivered, its records and callbacks made
-(emitted images are written then), on the calling thread and in grid order,
-at the end of the next compute; the calling thread waits for sizes only
-while more than a small backlog of them is undelivered, and at the end of
-the sweep.
+run_sweep streams a whole (image, wavelet, L) grid through that generator:
+each RGB reconstruction is queued for DEFLATE sizing (zlib releases the GIL)
+the moment it is finished, while the calling thread computes the next L, the
+next wavelet or the next image.  Sizing runs on two workers per sweep at the
+lowest scheduling priority, so they yield the CPU to the calling thread,
+which carries the critical path.  Once its sizes and those of every earlier
+one are done, an (image, wavelet) is delivered, its records and callbacks
+made (emitted images are written then), on the calling thread and in grid
+order, at the end of the next compute; the calling thread waits for sizes
+only while more than a small backlog of them is undelivered, and at the end
+of the sweep.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ def _to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 255.0, out=values).astype(np.uint8)
 
 
-def _indexed(
-    dec: Decomposition, batch: Sequence[int]
-) -> tuple[np.ndarray, list[list[tuple[np.ndarray, list[np.ndarray]]]]]:
-    """dec's approximation, and per level each detail band as threshold_subband's
-    (uint8 index, tables per L), so that the float detail bands can be dropped."""
-    return dec.approx, [[threshold_subband(b, batch) for b in triple] for triple in dec.levels]
+def _channels(img: RgbImage) -> list[np.ndarray]:
+    """The one plane of a grayscale image (equal R, G and B), else its R, G and B planes."""
+    px = img.pixels
+    if np.array_equal(px[:, :, 0], px[:, :, 1]) and np.array_equal(px[:, :, 0], px[:, :, 2]):
+        return [px[:, :, 0]]
+    return [px[:, :, c] for c in range(3)]
 
 
 def _reconstructions(
@@ -79,11 +80,16 @@ def _reconstructions(
 ) -> Iterator[list[np.ndarray]]:
     """For each L of batch in turn, the uint8 reconstruction of every plane.
 
-    All planes are transformed and indexed before the first L is yielded; the
-    float detail bands of one L exist only while that L is inverted.
+    All planes are transformed and thresholded before the first L is yielded;
+    each keeps its approximation and per detail band threshold_subband's
+    (uint8 index, tables per L), so the float detail bands of one L exist only
+    while that L is inverted.
     """
     fb = get_filter(wavelet)
-    indexed = [_indexed(dwt2d(plane, fb, depth), batch) for plane in planes]
+    indexed = [
+        (dec.approx, [[threshold_subband(b, batch) for b in triple] for triple in dec.levels])
+        for dec in (dwt2d(plane, fb, depth) for plane in planes)
+    ]
     for k in range(len(batch)):
         yield [
             _to_uint8(idwt2d(Decomposition(approx, [
@@ -93,47 +99,29 @@ def _reconstructions(
         ]
 
 
-def process_plane(
-    plane: np.ndarray, wavelet: str, depth: int, levels: int | Sequence[int]
-) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Transform, threshold all detail sub-bands, reconstruct one 2-D uint8 channel.
+def _images(
+    channels: Sequence[np.ndarray], wavelet: str, depth: int, batch: Sequence[int]
+) -> Iterator[RgbImage]:
+    """For each L of batch in turn, the RGB image reconstructed from channels,
+    the planes _channels gives; each is yielded before the next L's inverse runs."""
+    for planes in _reconstructions(channels, wavelet, depth, batch):
+        yield RgbImage(np.stack(planes * 3 if len(planes) == 1 else planes, axis=-1))
 
-    levels is one L, giving one plane, or a sequence of L, giving a tuple of
-    planes in that order; the forward DWT and each band's statistics serve them all.
-    """
+
+def process_plane(plane: np.ndarray, wavelet: str, depth: int, levels: int) -> np.ndarray:
+    """Transform, threshold all detail sub-bands at one L, reconstruct one 2-D uint8 channel."""
     if np.asarray(plane).dtype != np.uint8:
         raise ValueError(f"plane must be uint8, got dtype {np.asarray(plane).dtype}")
-    batch, single = level_batch(levels)
-    planes = tuple(out for (out,) in _reconstructions([plane], wavelet, depth, batch))
-    return planes[0] if single else planes
+    batch = level_batch([levels])  # a sequence here is not one L, and is rejected
+    (out,) = next(_reconstructions([plane], wavelet, depth, batch))
+    return out
 
 
-def process_image(
-    img: RgbImage,
-    wavelet: str,
-    depth: int,
-    levels: int | Sequence[int],
-    on_level: Callable[[RgbImage], None] | None = None,
-) -> RgbImage | tuple[RgbImage, ...]:
-    """process_plane applied to R, G and B, with levels as in process_plane.
-
-    Equal channels (a grayscale image) are processed once.  The channels are
-    reconstructed one L at a time, and on_level(recon), if given, is called
-    with each L's image as soon as it is finished, before the next L's
-    inverse runs.
-    """
-    batch, single = level_batch(levels)
-    px = img.pixels
-    if np.array_equal(px[:, :, 0], px[:, :, 1]) and np.array_equal(px[:, :, 0], px[:, :, 2]):
-        channels = [px[:, :, 0]]
-    else:
-        channels = [px[:, :, c] for c in range(3)]
-    images = []
-    for planes in _reconstructions(channels, wavelet, depth, batch):
-        images.append(RgbImage(np.stack(planes * 3 if len(planes) == 1 else planes, axis=-1)))
-        if on_level is not None:
-            on_level(images[-1])
-    return images[0] if single else tuple(images)
+def process_image(img: RgbImage, wavelet: str, depth: int, levels: int) -> RgbImage:
+    """process_plane applied to R, G and B at one L; equal channels (a grayscale
+    image) are processed once."""
+    batch = level_batch([levels])  # a sequence here is not one L, and is rejected
+    return next(_images(_channels(img), wavelet, depth, batch))
 
 
 def psnr(orig: RgbImage, recon: RgbImage) -> float:
@@ -184,31 +172,30 @@ def run_sweep(
     """One MetricsRecord per (image, wavelet, levels): images in mapping order,
     then wavelets, then levels; each record's image_id is the image's key.
 
-    levels_list is checked once, by level_batch, before any compute.  Each
-    (image, wavelet) is one job: one process_image call for the whole levels
-    list, which reconstructs one L at a time.  As soon as an L is finished,
-    its PSNR is taken and its encoded_size is queued for one of
-    _SIZE_THREADS workers, at the lowest scheduling priority, while the
-    calling thread goes on to the next L, wavelet or image.  After each
-    job's compute, every job at the head of the undelivered ones whose
+    levels_list is checked once, by level_batch, before any compute, and
+    each image is split into channels once.  Each (image, wavelet) is one
+    job, which iterates _images over the whole levels list.  As soon as an
+    L's image is yielded, its PSNR is taken and its encoded_size is queued
+    for one of _SIZE_THREADS workers, at the lowest scheduling priority,
+    while the calling thread goes on to the next L, wavelet or image.  After
+    each job's compute, every job at the head of the undelivered ones whose
     sizes are all done is delivered, without waiting: its records are made
     and on_reconstruction called, on the calling thread and in grid order.
-    The calling thread waits for the oldest job's sizes only while more
-    than _BACKLOG sizes are undelivered, and at the end.  A job whose
-    compute fails is preceded by the delivery of every earlier job, so a
-    failing job still follows the callbacks of the ones before it, also
-    across images, and the error raised is the earliest in grid order.
-    Without a callback a job keeps no reconstruction.  Any failure, also
-    one met by a worker, aborts the whole sweep, annotated with the image,
-    the wavelet and the levels; queued sizes are then dropped, and no
-    worker outlives the call.
+    The calling thread waits for the oldest job's sizes only while more than
+    _BACKLOG sizes are undelivered, and at the end.  A job whose compute
+    fails is preceded by the delivery of every earlier job, so a failing job
+    still follows the callbacks of the ones before it, also across images,
+    and the error raised is the earliest in grid order.  Without a callback a
+    job keeps no reconstruction.  Any failure, also one met by a worker,
+    aborts the whole sweep, annotated with the image, the wavelet and the
+    levels; queued sizes are then dropped, and no worker outlives the call.
     """
     # imported here: concurrent.futures loads logging, which the CLI's import should not pay for
     from concurrent.futures import ThreadPoolExecutor
 
     if not wavelets:
         raise ValueError("wavelets list must be nonempty")
-    batch, _ = level_batch(levels_list)
+    batch = level_batch(levels_list)
     records: list[MetricsRecord] = []
 
     pending: deque[list[tuple]] = deque()  # computed jobs not yet delivered, in grid order
@@ -233,17 +220,16 @@ def run_sweep(
     pool = ThreadPoolExecutor(_SIZE_THREADS, initializer=_lower_priority)
     try:
         for image_id, img in images.items():
+            channels = _channels(img)
             for wavelet in wavelets:
-                job: list[tuple] = []
-
-                def on_level(recon: RgbImage) -> None:
-                    # the queued call holds its own image; keep it here only for the callback
-                    kept = recon if on_reconstruction is not None else None
-                    entry = (image_id, wavelet, batch[len(job)], psnr(img, recon), kept)
-                    job.append((*entry, pool.submit(encoded_size, recon)))
-
                 try:
-                    process_image(img, wavelet, depth, batch, on_level=on_level)
+                    # the queued call holds its own image; the job keeps it only for the callback
+                    job = [
+                        (image_id, wavelet, levels, psnr(img, recon),
+                         recon if on_reconstruction is not None else None,
+                         pool.submit(encoded_size, recon))
+                        for levels, recon in zip(batch, _images(channels, wavelet, depth, batch))
+                    ]
                 except Exception as err:
                     deliver(0)
                     raise _failure(image_id, wavelet, batch, err) from err

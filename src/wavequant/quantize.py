@@ -100,20 +100,19 @@ def _check_level(level) -> None:
         raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {level}")
 
 
-def level_batch(levels: int | Sequence[int]) -> tuple[tuple[int, ...], bool]:
-    """The requested L as a tuple, and whether levels was one L rather than a sequence.
+def level_batch(levels: int | Sequence[int]) -> tuple[int, ...]:
+    """The requested L as a tuple: (levels,) for one L, else the sequence's L in order.
 
     A sequence must be nonempty and name each L in LEVEL_CHOICES at most once.
     """
-    single = np.ndim(levels) == 0
-    batch = (levels,) if single else tuple(levels)
+    batch = (levels,) if np.ndim(levels) == 0 else tuple(levels)
     if not batch:
         raise ValueError(f"levels must name at least one L, got {levels!r}")
     for i, level in enumerate(batch):
         _check_level(level)
         if level in batch[:i]:
             raise ValueError(f"level {level} is repeated in levels {levels!r}")
-    return batch, single
+    return batch
 
 
 def _checked(coeffs) -> np.ndarray:
@@ -299,7 +298,7 @@ def threshold_subband(
     tables[k][index] is the result for the k-th L.  The band is checked,
     summed and indexed once for all of them.
     """
-    batch, single = level_batch(levels)
+    batch = level_batch(levels)
     parts, by_level, index, sizes, totals = _refine(_checked(mat), max(batch))
     fine = by_level[max(batch)]
     tables = []
@@ -313,4 +312,4 @@ def threshold_subband(
             block_totals[block] += total
         tables.append(np.array(parts.means(block_totals, block_sizes))[owner])
     index = index.reshape(np.shape(mat))
-    return tables[0][index] if single else (index, tables)
+    return tables[0][index] if np.ndim(levels) == 0 else (index, tables)

@@ -275,20 +275,17 @@ def _failing_wavelet_run(img, monkeypatch, fail_in):
     """
     threads_before = threading.active_count()
     bad = set()
-    process = pipeline.process_image
+    images = pipeline._images
     size = pipeline.encoded_size
 
-    def process_image(image, wavelet, *args, on_level):
-        if fail_in == "process_image" and wavelet == "coif1":
+    def failing_images(channels, wavelet, *args):
+        if fail_in == "compute" and wavelet == "coif1":
             raise ValueError("boom")
-
-        def mark(recon):
-            # marked here, before on_level starts its sizing
+        for recon in images(channels, wavelet, *args):
+            # marked here, before run_sweep queues its sizing
             if wavelet == "coif1":
                 bad.add(id(recon))
-            on_level(recon)
-
-        return process(image, wavelet, *args, on_level=mark)
+            yield recon
 
     def encoded_size(recon):
         time.sleep(0.02)  # so that a worker the run did not join is still alive
@@ -296,7 +293,7 @@ def _failing_wavelet_run(img, monkeypatch, fail_in):
             raise ValueError("boom")
         return size(recon)
 
-    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "_images", failing_images)
     monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
     seen = []
     with pytest.raises(RuntimeError) as info:
@@ -308,7 +305,7 @@ def _failing_wavelet_run(img, monkeypatch, fail_in):
     return seen, info.value
 
 
-@pytest.mark.parametrize("fail_in", ["encoded_size", "process_image"])
+@pytest.mark.parametrize("fail_in", ["encoded_size", "compute"])
 def test_run_experiment_failing_wavelet_follows_the_previous_callbacks(
     small_natural_image, monkeypatch, fail_in
 ):
@@ -320,30 +317,43 @@ def test_run_experiment_failing_wavelet_follows_the_previous_callbacks(
     assert seen == want
 
 
-def test_process_image_sequence_levels(small_natural_image):
-    batched = process_image(small_natural_image, DB2, 1, (7, 3))
-    assert batched == (
-        process_image(small_natural_image, DB2, 1, 7),
-        process_image(small_natural_image, DB2, 1, 3),
+def test_process_plane_and_image_take_one_level_checked_before_any_compute(
+    small_natural_image, monkeypatch
+):
+    # a batch of L in any order gives what one call per L gives
+    seen = []
+    run_experiment(
+        small_natural_image, "x", [DB2], [7, 3], 1, lambda rec, recon: seen.append(recon)
     )
+    assert seen == [process_image(small_natural_image, DB2, 1, levels) for levels in (7, 3)]
     plane = small_natural_image.pixels[:, :, 1]
-    (only,) = process_plane(plane, DB2, 1, [5])
-    assert np.array_equal(only, process_plane(plane, DB2, 1, 5))
-    bad = (((), "at least one L"), ((3, 3), "level 3 is repeated"), ((3, 4), "got 4"))
+    assert np.array_equal(seen[0].pixels[:, :, 1], process_plane(plane, DB2, 1, 7))
+
+    def dwt2d(*args):
+        raise AssertionError("dwt2d ran before the levels check")
+
+    monkeypatch.setattr(pipeline, "dwt2d", dwt2d)
+    for levels in ((3, 5), [5], (), 4):
+        with pytest.raises(ValueError, match=r"^levels must be in \{3, 5, 7\}, got "):
+            process_plane(plane, DB2, 1, levels)
+        with pytest.raises(ValueError, match=r"^levels must be in \{3, 5, 7\}, got "):
+            process_image(small_natural_image, DB2, 1, levels)
+    # a sweep's levels list is a batch of L, checked as one before any compute too
+    bad = (([], "at least one L"), ([3, 3], "level 3 is repeated"), ([3, 4], "got 4"))
     for levels, message in bad:
         with pytest.raises(ValueError, match=message):
-            process_plane(plane, DB2, 1, levels)
+            run_sweep({"x": small_natural_image}, [DB2], levels, 1)
 
 
-def test_process_image_holds_one_level_of_detail_bands():
+def test_images_hold_one_level_of_detail_bands():
     # the float detail bands are dropped once indexed, and only one L's are
     # materialised at a time: measured 6.7 float64 planes against 8.9 when
     # every L's thresholded bands were held together
-    img = natural_image(256, seed=5)
-    process_image(img, DB2, 3, (3, 5, 7))  # warm every cache first
+    channels = pipeline._channels(natural_image(256, seed=5))
+    list(pipeline._images(channels, DB2, 3, (3, 5, 7)))  # warm every cache first
     tracemalloc.start()
     try:
-        process_image(img, DB2, 3, (3, 5, 7))
+        list(pipeline._images(channels, DB2, 3, (3, 5, 7)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,9 +390,9 @@ def test_run_sweep_sizes_each_level_as_soon_as_it_is_reconstructed(monkeypatch):
     images = {"a": natural_image(64, seed=7), "b": natural_image(32, seed=3)}
     side = {64: "a", 32: "b"}
     recon_of = {
-        recon.pixels.tobytes(): (image_id, levels)
+        process_image(img, DB2, 2, levels).pixels.tobytes(): (image_id, levels)
         for image_id, img in images.items()
-        for levels, recon in zip((3, 5, 7), process_image(img, DB2, 2, (3, 5, 7)))
+        for levels in (3, 5, 7)
     }
     events, idwt_calls = [], {"a": 0, "b": 0}
     started = {key: threading.Event() for key in recon_of.values()}
@@ -426,50 +436,52 @@ def test_run_sweep_without_callback_holds_no_sized_reconstruction(monkeypatch):
     # each queued sizing call holds its own image; the sweep itself keeps none
     # of them, so that at most the reconstructions waiting or being sized are alive
     images = {"a": natural_image(32, seed=3), "b": natural_image(32, seed=5)}
-    jobs = []  # per process_image call: (weakref of each image sized, set as its call returns)
+    jobs = []  # per job: (weakref of each image made, set as its sizing returns)
+    returned_of = {}  # id of each image made and not yet sized -> its event
     alive_at_start = []
-    size, process = pipeline.encoded_size, pipeline.process_image
+    size, images_of = pipeline.encoded_size, pipeline._images
 
     def alive():
-        """How many of the images sized so far are alive once their sizing is done.
+        """How many of the images made so far are alive once their sizing is done.
 
-        A worker drops the image it sized just after the call returns, so the
+        Every image made is waited for until it is sized, queued or not, and a
+        worker drops the image it sized just after the call returns, so the
         release gets a bounded wait.
         """
-        sized = [entry for job in jobs for entry in job]
-        for _, returned in sized:
+        made = [entry for job in jobs for entry in job]
+        for _, returned in made:
             assert returned.wait(timeout=10)
         deadline = time.monotonic() + 10
         while True:
             gc.collect()
-            count = sum(image() is not None for image, _ in sized)
+            count = sum(image() is not None for image, _ in made)
             if count == 0 or time.monotonic() > deadline:
                 return count
             time.sleep(0.001)
 
-    def process_image(*args, **kwargs):
+    def job_images(*args):
         alive_at_start.append(alive())
         job = []
         jobs.append(job)
+        for recon in images_of(*args):
+            job.append((weakref.ref(recon), threading.Event()))
+            returned_of[id(recon)] = job[-1][1]
+            yield recon
 
-        def encoded_size(image):
-            returned = threading.Event()
-            job.append((weakref.ref(image), returned))
-            try:
-                return size(image)
-            finally:
-                returned.set()
+    def encoded_size(image):
+        try:
+            return size(image)
+        finally:
+            returned_of.pop(id(image)).set()
 
-        # on_level looks the name up as it queues a call, so each call records into its own job
-        monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
-        return process(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "_images", job_images)
+    monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
     records = run_sweep(images, [DB2, "coif1"], [3, 5, 7], 1)
     assert len(records) == 12
-    assert [len(sized) for sized in jobs] == [3] * 4
+    assert [len(job) for job in jobs] == [3] * 4
     assert alive_at_start == [0] * 4
     assert alive() == 0
+    assert returned_of == {}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="niceness is per thread on Linux")
@@ -524,13 +536,13 @@ def test_run_sweep_computes_ahead_of_slow_sizing(monkeypatch):
     assert len(WAVELETS3) <= pipeline._BACKLOG
     events = []
     last_started = threading.Event()
-    process, size = pipeline.process_image, pipeline.encoded_size
+    images, size = pipeline._images, pipeline.encoded_size
 
-    def process_image(image, wavelet, *args, **kwargs):
+    def started_images(channels, wavelet, *args):
         events.append(("start", wavelet))
         if wavelet == WAVELETS3[-1]:
             last_started.set()
-        return process(image, wavelet, *args, **kwargs)
+        return images(channels, wavelet, *args)
 
     def encoded_size(recon):
         # a sweep that waits for this size before the last compute goes on after the
@@ -540,7 +552,7 @@ def test_run_sweep_computes_ahead_of_slow_sizing(monkeypatch):
         events.append(("sized", None))
         return out
 
-    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "_images", started_images)
     monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
     records = run_sweep({"a": natural_image(32, seed=3)}, WAVELETS3, [3], 1)
     assert [r.wavelet for r in records] == WAVELETS3
@@ -551,27 +563,26 @@ def test_run_sweep_computes_ahead_of_slow_sizing(monkeypatch):
 def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch):
     batch = [3, 5]
     submitted, delivered = [], []  # weakref of each image queued for sizing; each record delivered
-    # undelivered at each process_image start and after each queued size; images alive at each start
+    # undelivered at each job's start and after each queued size; images alive at each start
     at_start, after_queueing, alive_at_start = [], [], []
-    process, size = pipeline.process_image, pipeline.encoded_size
+    images, size = pipeline._images, pipeline.encoded_size
 
-    def process_image(*args, on_level):
+    def counted_images(*args):
         at_start.append(len(submitted) - len(delivered))
         gc.collect()
         alive_at_start.append(sum(image() is not None for image in submitted))
-
-        def counted(recon):
-            on_level(recon)
+        for recon in images(*args):
+            # run_sweep queues recon's size before it asks for the next L, and
+            # delivers nothing in between, so this counts it as queued
             submitted.append(weakref.ref(recon))
             after_queueing.append(len(submitted) - len(delivered))
-
-        return process(*args, on_level=counted)
+            yield recon
 
     def encoded_size(recon):
         time.sleep(0.01)  # sizing far slower than the compute of a 32x32 image
         return size(recon)
 
-    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "_images", counted_images)
     monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
     records = run_sweep(
         {"a": natural_image(32, seed=3)}, SUPPORTED_WAVELETS, batch, 1,
@@ -597,20 +608,17 @@ def test_run_sweep_earliest_failure_in_grid_order_wins_over_a_deep_backlog(
     failing = threading.Event()
     bad = set()
     seen, delivered_at_failure = [], []
-    process, size = pipeline.process_image, pipeline.encoded_size
+    images, size = pipeline._images, pipeline.encoded_size
 
-    def process_image(image, wavelet, *args, on_level):
+    def failing_images(channels, wavelet, *args):
         if wavelet == bad_compute:
             delivered_at_failure.append(len(seen))
             failing.set()
             raise ValueError("compute boom")
-
-        def mark(recon):
+        for recon in images(channels, wavelet, *args):
             if worker_fails and wavelet == bad_size:
                 bad.add(id(recon))
-            on_level(recon)
-
-        return process(image, wavelet, *args, on_level=mark)
+            yield recon
 
     def encoded_size(recon):
         failing.wait(timeout=10)
@@ -618,7 +626,7 @@ def test_run_sweep_earliest_failure_in_grid_order_wins_over_a_deep_backlog(
             raise ValueError("size boom")
         return size(recon)
 
-    monkeypatch.setattr(pipeline, "process_image", process_image)
+    monkeypatch.setattr(pipeline, "_images", failing_images)
     monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
     with pytest.raises(RuntimeError) as info:
         run_sweep({"f": small_natural_image}, wavelets, [3], 1, lambda rec, recon: seen.append(rec))
