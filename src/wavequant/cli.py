@@ -13,9 +13,9 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .filters import SUPPORTED_WAVELETS, get_filter
+from .filters import SUPPORTED_WAVELETS, wavelet_batch
 from .image import RgbImage, read_image, write_image
 # unused here, as _sweep runs every image in one run_sweep; bench/spans.py reports
 # pipeline.self_s only while cli.run_experiment exists, so the name stays
@@ -25,14 +25,11 @@ from .transform import _check_divisibility
 
 
 def _wavelet_list(text: str) -> list[str]:
+    """Comma-separated wavelet names; filters.wavelet_batch checks them and gives their labels."""
     try:
-        names = [get_filter(part).name for part in text.split(",")]
+        return list(wavelet_batch(text.split(",")))
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise argparse.ArgumentTypeError(f"wavelet {name} is repeated")
-    return names
 
 
 def _level_list(text: str) -> list[int]:
@@ -201,18 +198,20 @@ def _staged(path: Path | None, what: str) -> Iterator[Path | None]:
         tmp.unlink(missing_ok=True)
 
 
-def _sweep(args: argparse.Namespace, images: Sequence[RgbImage]) -> list[MetricsRecord]:
+def _sweep(args: argparse.Namespace, images: Mapping[str, RgbImage]) -> list[MetricsRecord]:
     emit_dir = args.emit_images
     if emit_dir is not None:
-        emit_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            emit_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise OSError(f"cannot create --emit-images directory {emit_dir}: {err}") from err
 
     def emit(record: MetricsRecord, recon: RgbImage) -> None:
         out = emit_dir / f"{record.image_id}_{record.wavelet}_L{record.levels}.ppm"
         out.write_bytes(write_image(recon))
 
-    # an input's stem is its image id, unique by _run's check
     return run_sweep(
-        {path.stem: img for path, img in zip(args.inputs, images)},
+        images,
         args.wavelets,
         args.levels,
         args.depth,
@@ -225,6 +224,15 @@ def _run(args: argparse.Namespace) -> None:
         raise ValueError(
             f"--plot expects exactly one input image, got {len(args.inputs)}"
         )
+    # each output needs its own path, or one would overwrite or block another
+    options_by_path: dict[Path, str] = {}
+    for option, path in (("--report", args.report), ("--plot", args.plot),
+                         ("--emit-images", args.emit_images)):
+        if path is None:
+            continue
+        other = options_by_path.setdefault(path.resolve(), option)
+        if other != option:
+            raise ValueError(f"{other} and {option} both name {path}; give each its own path")
     # an input's stem is its image id in the report and in emitted file names
     paths_by_stem: dict[str, Path] = {}
     for path in args.inputs:
@@ -236,7 +244,7 @@ def _run(args: argparse.Namespace) -> None:
         paths_by_stem[path.stem] = path
     # fail fast: every input is read and checked, and every output file
     # staged, before any compute or emitted image
-    images = [_read_input(path, args.depth) for path in args.inputs]
+    images = {stem: _read_input(path, args.depth) for stem, path in paths_by_stem.items()}
     with _staged(args.report, "report") as report, _staged(args.plot, "plot data") as plot:
         records = _sweep(args, images)
         write_report(records, report)

@@ -37,6 +37,7 @@ against the table's polyphase matrix by the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,3 +396,17 @@ def get_filter(name: str) -> FilterBank:
             f"unsupported wavelet {name.strip()!r}; supported: {', '.join(SUPPORTED_WAVELETS)}"
         )
     return _REGISTRY[label]
+
+
+def wavelet_batch(names: Sequence[str]) -> tuple[str, ...]:
+    """The labels of names, in order, as get_filter resolves them ("DB2" is "db2").
+
+    names must be nonempty and name each wavelet at most once.
+    """
+    labels = tuple(get_filter(name).name for name in names)
+    if not labels:
+        raise ValueError("wavelets list must be nonempty")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"wavelet {label} is repeated")
+    return labels

@@ -2,14 +2,15 @@
 
 Per channel: forward DWT, threshold every detail sub-band of every level
 with its own statistics (the approximation is never touched), inverse DWT,
-round half away from zero, clamp to [0, 255].  One generator serves a
-batch of L: the forward DWT runs once per channel and each sub-band is
-thresholded once, into a uint8 block index and one small centroid table
-per L; the float detail bands are dropped.  Then each L in turn gathers
-its bands from the tables and runs the inverse DWT of every channel, so
-one L's detail bands exist at a time and each L's image is yielded before
-the next L's inverse runs.  Equal channels are processed once.
-process_plane and process_image run it for one L.
+round half away from zero, clamp to [0, 255].  One generator, _images,
+goes from channels to one RGB image per L of a batch: the forward DWT runs
+once per channel and each sub-band is thresholded once, into a uint8 block
+index and one small centroid table per L; the float detail bands are
+dropped.  Then each L in turn gathers its bands from the tables and runs
+the inverse DWT of every channel, so one L's detail bands exist at a time
+and each L's image is yielded before the next L's inverse runs.  Equal
+channels are processed once.  process_plane and process_image take its
+first image for one L.
 
 run_sweep streams a whole (image, wavelet, L) grid through that generator:
 each RGB reconstruction is queued for DEFLATE sizing (zlib releases the GIL)
@@ -36,7 +37,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .filters import get_filter
+from .filters import get_filter, wavelet_batch
 from .image import RgbImage, encoded_size
 from .quantize import level_batch, threshold_subband
 from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
@@ -75,36 +76,30 @@ def _channels(img: RgbImage) -> list[np.ndarray]:
     return [px[:, :, c] for c in range(3)]
 
 
-def _reconstructions(
-    planes: Sequence[np.ndarray], wavelet: str, depth: int, batch: Sequence[int]
-) -> Iterator[list[np.ndarray]]:
-    """For each L of batch in turn, the uint8 reconstruction of every plane.
+def _images(
+    channels: Sequence[np.ndarray], wavelet: str, depth: int, batch: Sequence[int]
+) -> Iterator[RgbImage]:
+    """For each L of batch in turn, the RGB image reconstructed from channels,
+    the planes _channels gives.
 
-    All planes are transformed and thresholded before the first L is yielded;
-    each keeps its approximation and per detail band threshold_subband's
+    All channels are transformed and thresholded before the first image is
+    made; each keeps its approximation and per detail band threshold_subband's
     (uint8 index, tables per L), so the float detail bands of one L exist only
-    while that L is inverted.
+    while that L is inverted, and each L's image is yielded before the next
+    L's inverse runs.
     """
     fb = get_filter(wavelet)
     indexed = [
         (dec.approx, [[threshold_subband(b, batch) for b in triple] for triple in dec.levels])
-        for dec in (dwt2d(plane, fb, depth) for plane in planes)
+        for dec in (dwt2d(plane, fb, depth) for plane in channels)
     ]
     for k in range(len(batch)):
-        yield [
+        planes = [
             _to_uint8(idwt2d(Decomposition(approx, [
                 SubbandTriple(*(tables[k][index] for index, tables in triple)) for triple in levels
             ]), fb))
             for approx, levels in indexed
         ]
-
-
-def _images(
-    channels: Sequence[np.ndarray], wavelet: str, depth: int, batch: Sequence[int]
-) -> Iterator[RgbImage]:
-    """For each L of batch in turn, the RGB image reconstructed from channels,
-    the planes _channels gives; each is yielded before the next L's inverse runs."""
-    for planes in _reconstructions(channels, wavelet, depth, batch):
         yield RgbImage(np.stack(planes * 3 if len(planes) == 1 else planes, axis=-1))
 
 
@@ -113,8 +108,7 @@ def process_plane(plane: np.ndarray, wavelet: str, depth: int, levels: int) -> n
     if np.asarray(plane).dtype != np.uint8:
         raise ValueError(f"plane must be uint8, got dtype {np.asarray(plane).dtype}")
     batch = level_batch([levels])  # a sequence here is not one L, and is rejected
-    (out,) = next(_reconstructions([plane], wavelet, depth, batch))
-    return out
+    return next(_images([plane], wavelet, depth, batch)).pixels[:, :, 0].copy()
 
 
 def process_image(img: RgbImage, wavelet: str, depth: int, levels: int) -> RgbImage:
@@ -172,9 +166,11 @@ def run_sweep(
     """One MetricsRecord per (image, wavelet, levels): images in mapping order,
     then wavelets, then levels; each record's image_id is the image's key.
 
-    levels_list is checked once, by level_batch, before any compute, and
-    each image is split into channels once.  Each (image, wavelet) is one
-    job, which iterates _images over the whole levels list.  As soon as an
+    wavelets and levels_list are checked once, by wavelet_batch and
+    level_batch, before any compute, and records carry the wavelets' labels
+    ("db2" for "DB2"); each image is split into channels once.  Each (image,
+    wavelet) is one job, which holds its image id and wavelet once and
+    iterates _images over the whole levels list.  As soon as an
     L's image is yielded, its PSNR is taken and its encoded_size is queued
     for one of _SIZE_THREADS workers, at the lowest scheduling priority,
     while the calling thread goes on to the next L, wavelet or image.  After
@@ -193,25 +189,26 @@ def run_sweep(
     # imported here: concurrent.futures loads logging, which the CLI's import should not pay for
     from concurrent.futures import ThreadPoolExecutor
 
-    if not wavelets:
-        raise ValueError("wavelets list must be nonempty")
+    wavelets = wavelet_batch(wavelets)
     batch = level_batch(levels_list)
     records: list[MetricsRecord] = []
 
-    pending: deque[list[tuple]] = deque()  # computed jobs not yet delivered, in grid order
+    # computed jobs not yet delivered, in grid order: (image id, wavelet, one
+    # (levels, psnr, recon or None, size future) per L of batch)
+    pending: deque[tuple[str, str, list[tuple]]] = deque()
 
     def deliver(backlog: int) -> None:
         """Deliver the head jobs whose sizes are done, in grid order, and wait
         for the head's sizes while more than backlog sizes are undelivered."""
-        undelivered = sum(map(len, pending))
-        while pending and (undelivered > backlog or all(size.done() for *_, size in pending[0])):
-            job = pending.popleft()
-            undelivered -= len(job)
+        while pending and (
+            len(pending) * len(batch) > backlog or all(size.done() for *_, size in pending[0][2])
+        ):
+            image_id, wavelet, results = pending.popleft()
             try:
-                size_bytes = [size.result() for *_, size in job]
+                size_bytes = [size.result() for *_, size in results]
             except Exception as err:
-                raise _failure(*job[0][:2], batch, err) from err
-            for (image_id, wavelet, levels, psnr_db, recon, _), size in zip(job, size_bytes):
+                raise _failure(image_id, wavelet, batch, err) from err
+            for (levels, psnr_db, recon, _), size in zip(results, size_bytes):
                 record = MetricsRecord(image_id, wavelet, levels, psnr_db, size)
                 records.append(record)
                 if on_reconstruction is not None:
@@ -224,8 +221,8 @@ def run_sweep(
             for wavelet in wavelets:
                 try:
                     # the queued call holds its own image; the job keeps it only for the callback
-                    job = [
-                        (image_id, wavelet, levels, psnr(img, recon),
+                    results = [
+                        (levels, psnr(img, recon),
                          recon if on_reconstruction is not None else None,
                          pool.submit(encoded_size, recon))
                         for levels, recon in zip(batch, _images(channels, wavelet, depth, batch))
@@ -233,7 +230,7 @@ def run_sweep(
                 except Exception as err:
                     deliver(0)
                     raise _failure(image_id, wavelet, batch, err) from err
-                pending.append(job)
+                pending.append((image_id, wavelet, results))
                 deliver(_BACKLOG)
         deliver(0)
     finally:

@@ -58,6 +58,7 @@ and statistics that fit in float64.  Any violation raises ValueError.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -96,8 +97,13 @@ class BlockPartition:
 
 
 def _check_level(level) -> None:
-    if level not in LEVEL_CHOICES:
-        raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {level}")
+    """An integer (operator.index) in LEVEL_CHOICES passes; a float such as 3.0 does not."""
+    try:
+        if operator.index(level) in LEVEL_CHOICES:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {level}")
 
 
 def level_batch(levels: int | Sequence[int]) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wavequant
-from wavequant import MetricsRecord, RgbImage, read_image, write_image
+from wavequant import MetricsRecord, RgbImage, pipeline, read_image, write_image
 from wavequant.cli import main, parse_args, write_plot_data, write_report
 from conftest import natural_image
 
@@ -358,6 +358,34 @@ def test_main_indivisible_later_input_fails_before_any_output(tmp_path, corpus, 
 
 
 # --- outputs: staged beside their destination before any compute, then replaced ---
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    ((["--report", "out.csv", "--emit-images", "out.csv"],
+      "--report and --emit-images both name out.csv"),
+     (["--report", "r.csv", "--plot", "r.csv"], "--report and --plot both name r.csv"),
+     (["--report", "r.csv", "--plot", "p.dat", "--emit-images", "sub/../p.dat"],
+      "--plot and --emit-images both name sub/../p.dat"),
+     (["--report", "r.csv", "--emit-images", "a.ppm"],
+      "cannot create --emit-images directory a.ppm: "),
+     ),
+    ids=("report-is-emit", "report-is-plot", "plot-is-emit", "emit-is-a-file"),
+)
+def test_main_unusable_output_paths_fail_before_any_compute(
+    tmp_path, corpus, capsys, monkeypatch, outputs, message
+):
+    (tmp_path / "a.ppm").write_bytes(b"kept")
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--wavelets", "db2", "--levels", "3", *outputs, str(corpus[0])])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    # no report, plot data, emit directory or staged temp file is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "img0.ppm", "img1.ppm"]
+    assert (tmp_path / "a.ppm").read_bytes() == b"kept"
+
 
 @pytest.mark.parametrize("dest", ("missing/r.csv", "existing_dir"))
 def test_main_unwritable_report_fails_before_any_output(tmp_path, corpus, capsys, dest):

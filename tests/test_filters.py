@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wavequant
-from wavequant.filters import SUPPORTED_WAVELETS, get_filter, qmf_highpass
+from wavequant.filters import SUPPORTED_WAVELETS, get_filter, qmf_highpass, wavelet_batch
 from wavequant.transform import Decomposition, SubbandTriple, idwt2d
 
 EXPECTED = {
@@ -23,6 +23,15 @@ EXPECTED = {
 
 def test_registry_covers_the_nine_banks():
     assert SUPPORTED_WAVELETS == tuple(EXPECTED)
+
+
+def test_wavelet_batch_gives_labels_in_order_and_checks_the_list():
+    assert wavelet_batch(["DB2", " coif5 ", "db4"]) == ("db2", "coif5", "db4")
+    for names, message in (([], "wavelets list must be nonempty"),
+                           (["coif1", "db3"], "unsupported wavelet 'db3'"),
+                           (["coif1", "COIF1"], "wavelet coif1 is repeated")):
+        with pytest.raises(ValueError, match=message):
+            wavelet_batch(names)
 
 
 @pytest.mark.parametrize("name", list(EXPECTED))

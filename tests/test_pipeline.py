@@ -97,6 +97,16 @@ def test_natural_crop_regression_anchor(small_natural_image):
     assert int(np.sum(plane.astype(np.int64))) == 434869
 
 
+@pytest.mark.parametrize("levels", (3, 5, 7))
+def test_process_plane_is_channel_0_of_the_promoted_image(small_natural_image, levels):
+    plane = small_natural_image.pixels[:, :, 1]
+    out = process_plane(plane, "coif2", 1, levels)
+    assert out.dtype == np.uint8 and out.shape == plane.shape
+    assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+    gray = RgbImage(np.stack([plane] * 3, axis=-1))
+    assert np.array_equal(out, process_image(gray, "coif2", 1, levels).pixels[:, :, 0])
+
+
 def test_pipeline_is_deterministic(small_natural_image):
     assert process_image(small_natural_image, "coif5", 1, 7) == process_image(
         small_natural_image, "coif5", 1, 7
@@ -163,6 +173,38 @@ def test_run_experiment_checks_levels_once_before_any_compute(small_natural_imag
     with pytest.raises(ValueError, match=r"levels must name at least one L, got \[\]"):
         run_experiment(small_natural_image, "x", [DB2], [], 1)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "wavelets, message",
+    (([DB2, "nope"], "unsupported wavelet 'nope'"), ([DB2, "DB2"], "wavelet db2 is repeated"),
+     ([], "wavelets list must be nonempty")),
+    ids=("unknown", "repeated", "empty"),
+)
+def test_run_sweep_checks_wavelets_before_any_compute(
+    small_natural_image, monkeypatch, wavelets, message
+):
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    seen = []
+    with pytest.raises(ValueError, match=message):
+        run_sweep({"x": small_natural_image}, wavelets, [3], 1, lambda rec, recon: seen.append(rec))
+    assert calls == [] and seen == []
+
+
+def test_run_sweep_records_carry_wavelet_labels(small_natural_image, monkeypatch):
+    want = run_experiment(small_natural_image, "x", [DB2], [3, 5], 1)
+    banks = []
+    dwt2d = pipeline.dwt2d
+
+    def recorded(plane, fb, depth):
+        banks.append(fb.name)
+        return dwt2d(plane, fb, depth)
+
+    monkeypatch.setattr(pipeline, "dwt2d", recorded)
+    records = run_experiment(small_natural_image, "x", ["DB2"], [3, 5], 1)
+    assert [r.wavelet for r in records] == [DB2, DB2]
+    assert records == want and set(banks) == {DB2}
 
 
 def test_run_experiment_error_carries_context():
@@ -339,7 +381,8 @@ def test_process_plane_and_image_take_one_level_checked_before_any_compute(
         with pytest.raises(ValueError, match=r"^levels must be in \{3, 5, 7\}, got "):
             process_image(small_natural_image, DB2, 1, levels)
     # a sweep's levels list is a batch of L, checked as one before any compute too
-    bad = (([], "at least one L"), ([3, 3], "level 3 is repeated"), ([3, 4], "got 4"))
+    bad = (([], "at least one L"), ([3, 3], "level 3 is repeated"), ([3, 4], "got 4"),
+           ([5, 3.0], r"got 3\.0$"))
     for levels, message in bad:
         with pytest.raises(ValueError, match=message):
             run_sweep({"x": small_natural_image}, [DB2], levels, 1)

@@ -78,8 +78,8 @@ def test_rejects_statistics_overflow(entry):
 @pytest.mark.parametrize(
     "levels, message",
     (((), r"at least one L, got \(\)"), ([3, 5, 3], "level 3 is repeated"),
-     ((5, 4), "got 4"), ([9], "got 9")),
-    ids=("empty", "repeated", "outside", "outside-only"),
+     ((5, 4), "got 4"), ([9], "got 9"), (3.0, r"got 3\.0$"), ([5.0, 3], r"got 5\.0$")),
+    ids=("empty", "repeated", "outside", "outside-only", "float", "float-in-sequence"),
 )
 def test_rejects_bad_levels_sequence(levels, message):
     with pytest.raises(ValueError, match=message):
