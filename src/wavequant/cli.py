@@ -13,49 +13,37 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .filters import SUPPORTED_WAVELETS, wavelet_batch
 from .image import RgbImage, read_image, write_image
-# unused here, as _sweep runs every image in one run_sweep; bench/spans.py reports
+# unused here, as _run runs every image in one run_sweep; bench/spans.py reports
 # pipeline.self_s only while cli.run_experiment exists, so the name stays
 from .pipeline import MetricsRecord, run_experiment, run_sweep  # noqa: F401
 from .quantize import LEVEL_CHOICES, level_batch
 from .transform import _check_divisibility
 
 
-def _wavelet_list(text: str) -> list[str]:
-    """Comma-separated wavelet names; filters.wavelet_batch checks them and gives their labels."""
-    try:
-        return list(wavelet_batch(text.split(",")))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _option(parse):
+    """parse as an argparse type: a ValueError it raises is a usage error (exit 2), same message."""
 
-
-def _level_list(text: str) -> list[int]:
-    """Comma-separated integers; quantize.level_batch checks them as a set of L."""
-    levels = []
-    for part in text.split(","):
+    def option(text: str):
         try:
-            levels.append(int(part))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid level {part.strip()!r}; levels must be in {set(LEVEL_CHOICES)}"
-            ) from None
-    try:
-        level_batch(levels)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return levels
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return option
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, name: str, hint: str = "", minimum: int | None = None) -> int:
+    """int(text); a ValueError that names name if text is not an integer or is below minimum."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid depth {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"depth must be >= 1, got {value}")
+        raise ValueError(f"invalid {name} {text!r}{hint}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -73,21 +61,25 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--wavelets",
-        type=_wavelet_list,
+        # filters.wavelet_batch checks the names and gives their labels
+        type=_option(lambda text: list(wavelet_batch(text.split(",")))),
         default=list(SUPPORTED_WAVELETS),
         metavar="NAMES",
         help=f"comma-separated wavelets (default: all of {', '.join(SUPPORTED_WAVELETS)})",
     )
     parser.add_argument(
         "--levels",
-        type=_level_list,
+        type=_option(lambda text: list(level_batch([
+            _integer(part.strip(), "level", f"; levels must be in {set(LEVEL_CHOICES)}")
+            for part in text.split(",")
+        ]))),
         default=list(LEVEL_CHOICES),
         metavar="LIST",
         help=f"comma-separated threshold-level counts from {set(LEVEL_CHOICES)} (default: all)",
     )
     parser.add_argument(
         "--depth",
-        type=_positive_int,
+        type=_option(lambda text: _integer(text, "depth", minimum=1)),
         default=1,
         help="decomposition depth (default: 1)",
     )
@@ -198,41 +190,30 @@ def _staged(path: Path | None, what: str) -> Iterator[Path | None]:
         tmp.unlink(missing_ok=True)
 
 
-def _sweep(args: argparse.Namespace, images: Mapping[str, RgbImage]) -> list[MetricsRecord]:
-    emit_dir = args.emit_images
-    if emit_dir is not None:
-        try:
-            emit_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise OSError(f"cannot create --emit-images directory {emit_dir}: {err}") from err
-
-    def emit(record: MetricsRecord, recon: RgbImage) -> None:
-        out = emit_dir / f"{record.image_id}_{record.wavelet}_L{record.levels}.ppm"
-        out.write_bytes(write_image(recon))
-
-    return run_sweep(
-        images,
-        args.wavelets,
-        args.levels,
-        args.depth,
-        on_reconstruction=emit if emit_dir is not None else None,
-    )
-
-
 def _run(args: argparse.Namespace) -> None:
-    if args.plot is not None and len(args.inputs) != 1:
-        raise ValueError(
-            f"--plot expects exactly one input image, got {len(args.inputs)}"
-        )
-    # each output needs its own path, or one would overwrite or block another
+    """Parsed command line to files: check every path, read every input, stage the
+    report and plot data, make the emit directory, run the sweep, write the outputs."""
+    emit_dir = args.emit_images
+    emitted = {} if emit_dir is None else {
+        (path.stem, wavelet, levels): emit_dir / f"{path.stem}_{wavelet}_L{levels}.ppm"
+        for path in args.inputs for wavelet in args.wavelets for levels in args.levels
+    }
+    # every path the run reads or writes, resolved: an output that named an input or
+    # another output would replace it or block it
     options_by_path: dict[Path, str] = {}
-    for option, path in (("--report", args.report), ("--plot", args.plot),
-                         ("--emit-images", args.emit_images)):
+    for option, path in (*(("an input", path) for path in args.inputs),
+                         ("--report", args.report), ("--plot", args.plot),
+                         ("--emit-images", emit_dir),
+                         *(("--emit-images", path) for path in emitted.values())):
         if path is None:
             continue
         other = options_by_path.setdefault(path.resolve(), option)
         if other != option:
             raise ValueError(f"{other} and {option} both name {path}; give each its own path")
+    if args.plot is not None and len(args.inputs) != 1:
+        raise ValueError(
+            f"--plot expects exactly one input image, got {len(args.inputs)}"
+        )
     # an input's stem is its image id in the report and in emitted file names
     paths_by_stem: dict[str, Path] = {}
     for path in args.inputs:
@@ -246,7 +227,17 @@ def _run(args: argparse.Namespace) -> None:
     # staged, before any compute or emitted image
     images = {stem: _read_input(path, args.depth) for stem, path in paths_by_stem.items()}
     with _staged(args.report, "report") as report, _staged(args.plot, "plot data") as plot:
-        records = _sweep(args, images)
+        if emit_dir is not None:
+            try:
+                emit_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise OSError(f"cannot create --emit-images directory {emit_dir}: {err}") from err
+
+        def emit(record: MetricsRecord, recon: RgbImage) -> None:
+            emitted[record.image_id, record.wavelet, record.levels].write_bytes(write_image(recon))
+
+        records = run_sweep(images, args.wavelets, args.levels, args.depth,
+                            on_reconstruction=emit if emit_dir is not None else None)
         write_report(records, report)
         if plot is not None:
             write_plot_data(records, plot)

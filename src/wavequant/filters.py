@@ -401,8 +401,11 @@ def get_filter(name: str) -> FilterBank:
 def wavelet_batch(names: Sequence[str]) -> tuple[str, ...]:
     """The labels of names, in order, as get_filter resolves them ("DB2" is "db2").
 
-    names must be nonempty and name each wavelet at most once.
+    names must be a nonempty list, not one name as a string, and name each
+    wavelet at most once.
     """
+    if isinstance(names, str):
+        raise ValueError(f"wavelets must be a list of names, got the string {names!r}")
     labels = tuple(get_filter(name).name for name in names)
     if not labels:
         raise ValueError("wavelets list must be nonempty")

@@ -107,9 +107,10 @@ def _check_level(level) -> None:
 
 
 def level_batch(levels: int | Sequence[int]) -> tuple[int, ...]:
-    """The requested L as a tuple: (levels,) for one L, else the sequence's L in order.
+    """The requested L as a tuple of ints: (levels,) for one L, else the sequence's L in order.
 
     A sequence must be nonempty and name each L in LEVEL_CHOICES at most once.
+    A numpy integer becomes the int it equals.
     """
     batch = (levels,) if np.ndim(levels) == 0 else tuple(levels)
     if not batch:
@@ -118,7 +119,7 @@ def level_batch(levels: int | Sequence[int]) -> tuple[int, ...]:
         _check_level(level)
         if level in batch[:i]:
             raise ValueError(f"level {level} is repeated in levels {levels!r}")
-    return batch
+    return tuple(map(operator.index, batch))
 
 
 def _checked(coeffs) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately plain: explicit matrices, linear scans over
 intervals, pure-Python statistics.  Exactly rounded sums (math.fsum) make
-the expected values order-independent and bit-reproducible.
+the expected values order-independent and bit-reproducible.  The one
+exception is the frozen lifting kernel at the end, a bit-exact reference
+rather than an independent one.
 """
 
 import math
@@ -84,3 +86,62 @@ def oracle_threshold(values, levels):
         members.setdefault(classify(v), []).append(v)
     centroid = {i: math.fsum(vs) / len(vs) for i, vs in members.items()}
     return [centroid[classify(v)] for v in vals]
+
+
+# --- the whole-plane lifting kernel, frozen as a bit-exact reference ---
+#
+# The dense operator above agrees with dwt2d only to rounding, which cannot
+# see a change in the last bit; on a plane with a coefficient on a quantizer
+# cut such a change moves whole grey levels.  These functions restate the
+# kernel's float64 arithmetic, operation for operation: each lifting term is
+# one product coeff * (shifted channel), rounded, then one add into the target
+# channel, in the order of FilterBank.steps; analysis multiplies by scale,
+# synthesis by the rounded 1.0 / scale and runs the steps in reverse with the
+# coefficients negated.  They read the bank's steps and scaling, which the
+# process_plane digests in test_knife_edge.py pin.
+
+def _frozen_lift(s, steps, sign):
+    for target, terms in steps:
+        for power, coeff in terms:
+            s[target] = s[target] + (sign * coeff) * np.roll(s[1 - target], -power, axis=-1)
+
+
+def frozen_analysis(x, axis, fb):
+    """(approx, detail) of the 2-D array x along axis."""
+    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
+    s = [x[..., 0::2], x[..., 1::2]]
+    _frozen_lift(s, fb.steps, 1.0)
+    return tuple(
+        np.moveaxis(scale * np.roll(channel, -shift, axis=-1), -1, axis)
+        for channel, (scale, shift) in zip(s, fb.scaling)
+    )
+
+
+def frozen_synthesis(approx, detail, axis, fb):
+    """The 2-D array whose (approx, detail) along axis these are."""
+    s = [
+        (1.0 / scale) * np.roll(np.moveaxis(band, axis, -1), shift, axis=-1)
+        for band, (scale, shift) in zip((approx, detail), fb.scaling)
+    ]
+    _frozen_lift(s, reversed(fb.steps), -1.0)
+    out = np.empty(s[0].shape[:-1] + (2 * s[0].shape[-1],))
+    out[..., 0::2], out[..., 1::2] = s
+    return np.moveaxis(out, -1, axis)
+
+
+def frozen_dwt2d(plane, fb, depth):
+    """(approx, [(h, v, d) per level, finest first]): rows, then columns of each half."""
+    a, levels = np.asarray(plane, dtype=np.float64), []
+    for _ in range(depth):
+        lo, hi = frozen_analysis(a, 1, fb)
+        a, h = frozen_analysis(lo, 0, fb)
+        levels.append((h, *frozen_analysis(hi, 0, fb)))
+    return a, levels
+
+
+def frozen_idwt2d(approx, levels, fb):
+    """The plane whose frozen_dwt2d is (approx, levels)."""
+    a = approx
+    for h, v, d in reversed(levels):
+        a = frozen_synthesis(frozen_synthesis(a, h, 0, fb), frozen_synthesis(v, d, 0, fb), 1, fb)
+    return a

@@ -368,8 +368,15 @@ def test_main_indivisible_later_input_fails_before_any_output(tmp_path, corpus, 
       "--plot and --emit-images both name sub/../p.dat"),
      (["--report", "r.csv", "--emit-images", "a.ppm"],
       "cannot create --emit-images directory a.ppm: "),
+     # a.ppm is also an input: no output may replace one
+     (["--report", "a.ppm", "a.ppm"], "an input and --report both name a.ppm"),
+     (["--report", "r.csv", "--plot", "sub/../a.ppm", "a.ppm"],
+      "an input and --plot both name sub/../a.ppm"),
+     (["--report", "r.csv", "--emit-images", "a.ppm", "a.ppm"],
+      "an input and --emit-images both name a.ppm"),
      ),
-    ids=("report-is-emit", "report-is-plot", "plot-is-emit", "emit-is-a-file"),
+    ids=("report-is-emit", "report-is-plot", "plot-is-emit", "emit-is-a-file",
+         "report-is-input", "plot-is-input", "emit-is-input"),
 )
 def test_main_unusable_output_paths_fail_before_any_compute(
     tmp_path, corpus, capsys, monkeypatch, outputs, message
@@ -385,6 +392,34 @@ def test_main_unusable_output_paths_fail_before_any_compute(
     # no report, plot data, emit directory or staged temp file is left
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "img0.ppm", "img1.ppm"]
     assert (tmp_path / "a.ppm").read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize(
+    "outputs, inputs, message",
+    ((["--report", "img0.ppm"], ["img0.ppm"], "an input and --report both name img0.ppm"),
+     (["--report", "r.csv", "--plot", "./img0.ppm"], ["img0.ppm"],
+      "an input and --plot both name img0.ppm"),
+     (["--report", "link.csv"], ["img0.ppm"], "an input and --report both name link.csv"),
+     (["--report", "r.csv", "--emit-images", "."], ["img1.ppm", "img1_db2_L3.ppm"],
+      "an input and --emit-images both name img1_db2_L3.ppm"),
+     (["--report", "img0_db2_L3.ppm", "--emit-images", "."], ["img0.ppm"],
+      "--report and --emit-images both name img0_db2_L3.ppm")),
+    ids=("report", "plot", "report-symlink", "emitted-image", "report-is-emitted-image"),
+)
+def test_main_output_that_would_replace_an_input_fails_before_any_compute(
+    tmp_path, corpus, capsys, monkeypatch, outputs, inputs, message
+):
+    (tmp_path / "img1_db2_L3.ppm").write_bytes(corpus[1].read_bytes())
+    (tmp_path / "link.csv").symlink_to("img0.ppm")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--wavelets", "db2", "--levels", "3", *outputs, *inputs])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("dest", ("missing/r.csv", "existing_dir"))

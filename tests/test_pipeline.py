@@ -178,8 +178,9 @@ def test_run_experiment_checks_levels_once_before_any_compute(small_natural_imag
 @pytest.mark.parametrize(
     "wavelets, message",
     (([DB2, "nope"], "unsupported wavelet 'nope'"), ([DB2, "DB2"], "wavelet db2 is repeated"),
-     ([], "wavelets list must be nonempty")),
-    ids=("unknown", "repeated", "empty"),
+     ([], "wavelets list must be nonempty"),
+     (DB2, "wavelets must be a list of names, got the string 'db2'")),
+    ids=("unknown", "repeated", "empty", "bare-string"),
 )
 def test_run_sweep_checks_wavelets_before_any_compute(
     small_natural_image, monkeypatch, wavelets, message
@@ -205,6 +206,12 @@ def test_run_sweep_records_carry_wavelet_labels(small_natural_image, monkeypatch
     records = run_experiment(small_natural_image, "x", ["DB2"], [3, 5], 1)
     assert [r.wavelet for r in records] == [DB2, DB2]
     assert records == want and set(banks) == {DB2}
+
+
+def test_run_sweep_records_carry_int_levels(small_natural_image):
+    records = run_sweep({"x": small_natural_image}, [DB2], np.array([3, 5]), 1)
+    assert [r.levels for r in records] == [3, 5]
+    assert all(type(r.levels) is int for r in records)
 
 
 def test_run_experiment_error_carries_context():
