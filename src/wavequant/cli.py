@@ -210,6 +210,10 @@ def _run(args: argparse.Namespace) -> None:
         other = options_by_path.setdefault(path.resolve(), option)
         if other != option:
             raise ValueError(f"{other} and {option} both name {path}; give each its own path")
+    # checked here, as writing an emitted image onto a directory fails only mid-sweep
+    for path in emitted.values():
+        if path.is_dir():
+            raise IsADirectoryError(f"cannot write --emit-images {path}: is a directory")
     if args.plot is not None and len(args.inputs) != 1:
         raise ValueError(
             f"--plot expects exactly one input image, got {len(args.inputs)}"

@@ -17,12 +17,14 @@ each RGB reconstruction is queued for DEFLATE sizing (zlib releases the GIL)
 the moment it is finished, while the calling thread computes the next L, the
 next wavelet or the next image.  Sizing runs on two workers per sweep at the
 lowest scheduling priority, so they yield the CPU to the calling thread,
-which carries the critical path.  Once its sizes and those of every earlier
-one are done, an (image, wavelet) is delivered, its records and callbacks
-made (emitted images are written then), on the calling thread and in grid
-order, at the end of the next compute; the calling thread waits for sizes
-only while more than a small backlog of them is undelivered, and at the end
-of the sweep.
+which carries the critical path.  Delivery is per reconstruction: once its
+size and those of every earlier one are done, a reconstruction's record is
+made and its callback called (emitted images are written then), on the
+calling thread and in grid order, at the end of the next compute; the
+calling thread waits for sizes only while more than a small backlog of them
+is undelivered, and at the end of the sweep.  One failure rule holds for a
+failed compute and a failed size alike: every reconstruction before it in
+grid order is delivered, nothing at or after it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .filters import get_filter, wavelet_batch
 from .image import RgbImage, encoded_size
 from .quantize import level_batch, threshold_subband
-from .transform import Decomposition, SubbandTriple, dwt2d, idwt2d
+from .transform import Decomposition, SubbandTriple, _check_depth, dwt2d, idwt2d
 
 PEAK = 255.0
 _BELOW_HALF = np.nextafter(0.5, 0.0)
@@ -149,13 +151,6 @@ def _lower_priority() -> None:
             pass
 
 
-def _failure(image_id: str, wavelet: str, batch: Sequence[int], err: Exception) -> RuntimeError:
-    return RuntimeError(
-        f"processing failed for image={image_id} wavelet={wavelet} "
-        f"levels={','.join(map(str, batch))}: {err}"
-    )
-
-
 def run_sweep(
     images: Mapping[str, RgbImage],
     wavelets: Sequence[str],
@@ -166,53 +161,55 @@ def run_sweep(
     """One MetricsRecord per (image, wavelet, levels): images in mapping order,
     then wavelets, then levels; each record's image_id is the image's key.
 
-    wavelets and levels_list are checked once, by wavelet_batch and
-    level_batch, before any compute, and records carry the wavelets' labels
-    ("db2" for "DB2"); each image is split into channels once.  Each (image,
-    wavelet) is one job, which holds its image id and wavelet once and
-    iterates _images over the whole levels list.  As soon as an
-    L's image is yielded, its PSNR is taken and its encoded_size is queued
-    for one of _SIZE_THREADS workers, at the lowest scheduling priority,
-    while the calling thread goes on to the next L, wavelet or image.  After
-    each job's compute, every job at the head of the undelivered ones whose
-    sizes are all done is delivered, without waiting: its records are made
-    and on_reconstruction called, on the calling thread and in grid order.
-    The calling thread waits for the oldest job's sizes only while more than
-    _BACKLOG sizes are undelivered, and at the end.  A job whose compute
-    fails is preceded by the delivery of every earlier job, so a failing job
-    still follows the callbacks of the ones before it, also across images,
-    and the error raised is the earliest in grid order.  Without a callback a
-    job keeps no reconstruction.  Any failure, also one met by a worker,
-    aborts the whole sweep, annotated with the image, the wavelet and the
-    levels; queued sizes are then dropped, and no worker outlives the call.
+    wavelets, levels_list and depth are checked once, by wavelet_batch,
+    level_batch and _check_depth, before any compute, and records carry the
+    wavelets' labels ("db2" for "DB2"); each image is split into channels
+    once.  Each (image, wavelet) iterates _images over the whole levels
+    list.  As soon as an L's image is yielded, its PSNR is taken and its
+    encoded_size is queued for one of _SIZE_THREADS workers, at the lowest
+    scheduling priority, while the calling thread goes on to the next L,
+    wavelet or image.  Delivery is per reconstruction: after each (image,
+    wavelet)'s compute, every reconstruction at the head of the undelivered
+    ones whose size is done is delivered, without waiting: its record is
+    made and on_reconstruction called, on the calling thread and in grid
+    order.  The calling thread waits for the oldest size only while more
+    than _BACKLOG sizes are undelivered, and at the end.  A failed compute
+    is queued behind the reconstructions before it, as a failed size is, so
+    one rule holds for both: every reconstruction before the failure in grid
+    order is delivered, also the earlier L of the failing (image, wavelet),
+    and nothing at or after it; the error raised is the earliest in grid
+    order.  Without a callback no reconstruction is kept.  A failure aborts
+    the whole sweep, annotated with the image, the wavelet and the levels;
+    queued sizes are then dropped, and no worker outlives the call.
     """
     # imported here: concurrent.futures loads logging, which the CLI's import should not pay for
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     wavelets = wavelet_batch(wavelets)
     batch = level_batch(levels_list)
+    depth = _check_depth(depth)
     records: list[MetricsRecord] = []
 
-    # computed jobs not yet delivered, in grid order: (image id, wavelet, one
-    # (levels, psnr, recon or None, size future) per L of batch)
-    pending: deque[tuple[str, str, list[tuple]]] = deque()
+    # reconstructions computed and not yet delivered, in grid order: (image id,
+    # wavelet, levels, psnr, recon or None, size future); a failed compute is
+    # one more entry, whose future holds the error
+    pending: deque[tuple] = deque()
 
     def deliver(backlog: int) -> None:
-        """Deliver the head jobs whose sizes are done, in grid order, and wait
-        for the head's sizes while more than backlog sizes are undelivered."""
-        while pending and (
-            len(pending) * len(batch) > backlog or all(size.done() for *_, size in pending[0][2])
-        ):
-            image_id, wavelet, results = pending.popleft()
+        """Deliver the head reconstructions whose sizes are done, in grid order,
+        and wait for the head's size while more than backlog are undelivered."""
+        while pending and (len(pending) > backlog or pending[0][-1].done()):
+            image_id, wavelet, levels, psnr_db, recon, size = pending.popleft()
             try:
-                size_bytes = [size.result() for *_, size in results]
+                record = MetricsRecord(image_id, wavelet, levels, psnr_db, size.result())
             except Exception as err:
-                raise _failure(image_id, wavelet, batch, err) from err
-            for (levels, psnr_db, recon, _), size in zip(results, size_bytes):
-                record = MetricsRecord(image_id, wavelet, levels, psnr_db, size)
-                records.append(record)
-                if on_reconstruction is not None:
-                    on_reconstruction(record, recon)
+                raise RuntimeError(
+                    f"processing failed for image={image_id} wavelet={wavelet} "
+                    f"levels={','.join(map(str, batch))}: {err}"
+                ) from err
+            records.append(record)
+            if on_reconstruction is not None:
+                on_reconstruction(record, recon)
 
     pool = ThreadPoolExecutor(_SIZE_THREADS, initializer=_lower_priority)
     try:
@@ -220,17 +217,19 @@ def run_sweep(
             channels = _channels(img)
             for wavelet in wavelets:
                 try:
-                    # the queued call holds its own image; the job keeps it only for the callback
-                    results = [
-                        (levels, psnr(img, recon),
+                    # the queued call holds its own image; the entry keeps it only for the
+                    # callback, and a generator expression leaves no local name holding one
+                    pending.extend(
+                        (image_id, wavelet, levels, psnr(img, recon),
                          recon if on_reconstruction is not None else None,
                          pool.submit(encoded_size, recon))
                         for levels, recon in zip(batch, _images(channels, wavelet, depth, batch))
-                    ]
+                    )
                 except Exception as err:
-                    deliver(0)
-                    raise _failure(image_id, wavelet, batch, err) from err
-                pending.append((image_id, wavelet, results))
+                    failed = Future()
+                    failed.set_exception(err)
+                    pending.append((image_id, wavelet, None, None, None, failed))
+                    deliver(0)  # raises, at the earliest failure in grid order
                 deliver(_BACKLOG)
         deliver(0)
     finally:

@@ -132,14 +132,32 @@ def _synthesis(approx: np.ndarray, detail: np.ndarray, axis: int, fb: FilterBank
     return out
 
 
-def _check_divisibility(height: int, width: int, depth: int) -> None:
+def _check_depth(depth) -> int:
+    """depth as an int; a ValueError naming depth unless it is an integer >= 1."""
+    import operator
+
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise ValueError(f"depth must be an integer, got {depth!r}") from None
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    factor = 2 ** depth
+    return depth
+
+
+def _check_divisibility(height: int, width: int, depth: int) -> None:
+    factor = 2 ** _check_depth(depth)
     if height % factor != 0 or width % factor != 0 or height == 0 or width == 0:
         raise ValueError(
             f"plane dimensions {width}x{height} must be divisible by 2^depth = {factor}"
         )
+
+
+def _check_finite(a: np.ndarray, name: str) -> None:
+    """A ValueError naming name and the first non-finite position of a, if there is one."""
+    if not np.isfinite(a).all():
+        position = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        raise ValueError(f"{name} must be finite, got {a[position]} at {position}")
 
 
 def dwt2d(plane, fb: FilterBank, depth: int) -> Decomposition:
@@ -147,28 +165,46 @@ def dwt2d(plane, fb: FilterBank, depth: int) -> Decomposition:
 
     Per level the plane splits into approximation plus horizontal (low across
     the row axis, high down the column axis), vertical, and diagonal detail;
-    the recursion continues on the approximation.
+    the recursion continues on the approximation.  A plane that is not finite,
+    or whose transform overflows float64, raises a ValueError.
     """
     a = np.asarray(plane, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"plane must be 2-D, got shape {a.shape}")
     height, width = a.shape
     _check_divisibility(height, width, depth)
+    _check_finite(a, "plane")
     triples = []
-    for _ in range(depth):
-        lo, hi = _analysis(a, 1, fb)
-        lo_lo, lo_hi = _analysis(lo, 0, fb)
-        hi_lo, hi_hi = _analysis(hi, 0, fb)
-        triples.append(SubbandTriple(h=lo_hi, v=hi_lo, d=hi_hi))
-        a = lo_lo
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(depth):
+                lo, hi = _analysis(a, 1, fb)
+                lo_lo, lo_hi = _analysis(lo, 0, fb)
+                hi_lo, hi_hi = _analysis(hi, 0, fb)
+                triples.append(SubbandTriple(h=lo_hi, v=hi_lo, d=hi_hi))
+                a = lo_lo
+    except FloatingPointError as err:
+        raise ValueError(f"dwt2d of plane overflows float64: {err}") from err
     return Decomposition(a, tuple(triples))
 
 
 def idwt2d(dec: Decomposition, fb: FilterBank) -> np.ndarray:
-    """Exact inverse of dwt2d (mirrors the row/column order of the analysis)."""
+    """Exact inverse of dwt2d (mirrors the row/column order of the analysis).
+
+    An approximation or band that is not finite, or an inverse that overflows
+    float64, raises a ValueError.
+    """
+    _check_finite(dec.approx, "approximation")
+    for i, triple in enumerate(dec.levels):
+        for kind, band in zip(triple._fields, triple):
+            _check_finite(band, f"level {i} {kind} band")
     a = dec.approx
-    for triple in reversed(dec.levels):
-        lo = _synthesis(a, triple.h, 0, fb)
-        hi = _synthesis(triple.v, triple.d, 0, fb)
-        a = _synthesis(lo, hi, 1, fb)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for triple in reversed(dec.levels):
+                lo = _synthesis(a, triple.h, 0, fb)
+                hi = _synthesis(triple.v, triple.d, 0, fb)
+                a = _synthesis(lo, hi, 1, fb)
+    except FloatingPointError as err:
+        raise ValueError(f"idwt2d of dec overflows float64: {err}") from err
     return a

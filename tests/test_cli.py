@@ -422,6 +422,24 @@ def test_main_output_that_would_replace_an_input_fails_before_any_compute(
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_main_emitted_image_path_that_is_a_directory_fails_before_any_compute(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    out_dir = tmp_path / "out"
+    blocked = out_dir / "img0_db4_L3.ppm"
+    blocked.mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    rc = main(["--wavelets", "db2,db4", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(out_dir), str(corpus[0])])
+    assert rc == 1
+    assert f"cannot write --emit-images {blocked}: is a directory" in capsys.readouterr().err
+    assert calls == []
+    # no emitted image, report or staged temp file
+    assert list(out_dir.iterdir()) == [blocked] and not any(blocked.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm", "out"]
+
+
 @pytest.mark.parametrize("dest", ("missing/r.csv", "existing_dir"))
 def test_main_unwritable_report_fails_before_any_output(tmp_path, corpus, capsys, dest):
     (tmp_path / "existing_dir").mkdir()

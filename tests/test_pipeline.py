@@ -193,6 +193,24 @@ def test_run_sweep_checks_wavelets_before_any_compute(
     assert calls == [] and seen == []
 
 
+@pytest.mark.parametrize(
+    "depth, message",
+    ((2.0, "depth must be an integer, got 2.0"), (1.5, "depth must be an integer, got 1.5"),
+     (0, "depth must be >= 1, got 0")),
+    ids=("integral-float", "fraction", "zero"),
+)
+def test_run_sweep_checks_depth_before_any_compute(
+    small_natural_image, monkeypatch, depth, message
+):
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    seen = []
+    with pytest.raises(ValueError, match=message):
+        run_sweep({"x": small_natural_image}, [DB2], [3], depth,
+                  lambda rec, recon: seen.append(rec))
+    assert calls == [] and seen == []
+
+
 def test_run_sweep_records_carry_wavelet_labels(small_natural_image, monkeypatch):
     want = run_experiment(small_natural_image, "x", [DB2], [3, 5], 1)
     banks = []
@@ -687,4 +705,52 @@ def test_run_sweep_earliest_failure_in_grid_order_wins_over_a_deep_backlog(
     assert isinstance(info.value.__cause__, ValueError)
     # every job before the failed one, in order; nothing of it or after it
     assert seen == run_experiment(small_natural_image, "f", wavelets[:wavelets.index(failed)], [3], 1)
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("fail_in", ["compute", "encoded_size"])
+def test_run_sweep_failure_follows_every_earlier_reconstruction_also_of_its_own_wavelet(
+    monkeypatch, fail_in
+):
+    # coif1 fails at its second L: its first L is delivered, with its callback, before the error
+    threads_before = threading.active_count()
+    img = natural_image(32, seed=3)
+    per_level = len(pipeline._channels(img))  # idwt2d calls per L
+    want = run_experiment(img, "f", [DB2, "coif1"], [3, 5], 1)[:3]
+    inverted, bad = [], set()
+    idwt2d, images, size = pipeline.idwt2d, pipeline._images, pipeline.encoded_size
+
+    def failing_idwt2d(dec, fb):
+        inverted.append(fb.name)
+        if inverted.count("coif1") > per_level:
+            raise ValueError("boom")
+        return idwt2d(dec, fb)
+
+    def marked_images(channels, wavelet, depth, batch):
+        for levels, recon in zip(batch, images(channels, wavelet, depth, batch)):
+            if (wavelet, levels) == ("coif1", 5):
+                bad.add(id(recon))
+            yield recon
+
+    def encoded_size(recon):
+        if id(recon) in bad:
+            raise ValueError("boom")
+        return size(recon)
+
+    if fail_in == "compute":
+        monkeypatch.setattr(pipeline, "idwt2d", failing_idwt2d)
+    else:
+        monkeypatch.setattr(pipeline, "_images", marked_images)
+        monkeypatch.setattr(pipeline, "encoded_size", encoded_size)
+    seen = []
+    with pytest.raises(RuntimeError) as info:
+        run_sweep({"f": img}, [DB2, "coif1"], [3, 5], 1,
+                  lambda rec, recon: seen.append((rec, recon.pixels.copy())))
+    monkeypatch.undo()
+    assert str(info.value) == "processing failed for image=f wavelet=coif1 levels=3,5: boom"
+    assert isinstance(info.value.__cause__, ValueError) and str(info.value.__cause__) == "boom"
+    # db2 at L=3 and 5, then coif1 at L=3, in grid order, each with its image
+    assert [rec for rec, _ in seen] == want
+    for rec, pixels in seen:
+        assert np.array_equal(pixels, process_image(img, rec.wavelet, 1, rec.levels).pixels)
     assert threading.active_count() == threads_before

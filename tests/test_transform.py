@@ -241,6 +241,69 @@ def test_dwt2d_rejects_indivisible_dimensions():
         dwt2d(np.zeros((0, 4)), fb, 1)
 
 
+@pytest.mark.parametrize("depth", (2.0, 1.5))
+def test_dwt2d_rejects_a_depth_that_is_not_an_integer(depth):
+    with pytest.raises(ValueError, match=f"depth must be an integer, got {depth}"):
+        dwt2d(np.zeros((8, 8)), get_filter("db2"), depth)
+
+
+# --- non-finite and overflowing input raises, naming the argument ---
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", (math.nan, math.inf, -math.inf), ids=("nan", "inf", "-inf")
+)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_dwt2d_rejects_a_non_finite_plane_naming_the_position(value, depth):
+    plane = np.ones((8, 8))
+    plane[5, 2] = value
+    with pytest.raises(ValueError, match=rf"^plane must be finite, got {value} at \(5, 2\)$"):
+        dwt2d(plane, get_filter("coif5"), depth)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("depth", (1, 2, 3))
+@pytest.mark.parametrize("band", ("approximation", "h", "v", "d"))
+def test_idwt2d_rejects_a_non_finite_band_naming_it(value, depth, band):
+    fb = get_filter("coif5")
+    dec = dwt2d(np.ones((8, 8)), fb, depth)
+    approx, levels = dec.approx.copy(), list(dec.levels)
+    if band == "approximation":
+        approx[0, 0] = value
+        name = "approximation"
+    else:
+        bad = getattr(levels[-1], band).copy()
+        bad[0, 0] = value
+        levels[-1] = levels[-1]._replace(**{band: bad})
+        name = f"level {depth - 1} {band} band"
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value} at \(0, 0\)$"):
+        idwt2d(Decomposition(approx, levels), fb)
+
+
+@pytest.mark.parametrize("value", (1e308, -1e308))
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_dwt2d_rejects_a_plane_whose_transform_overflows(value, depth):
+    with pytest.raises(ValueError, match="^dwt2d of plane overflows float64: ") as info:
+        dwt2d(np.full((8, 8), value), get_filter("coif5"), depth)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+@pytest.mark.parametrize("value", (1e308, -1e308))
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_idwt2d_rejects_a_decomposition_whose_inverse_overflows(value, depth):
+    fb = get_filter("coif5")
+    dec = dwt2d(np.zeros((8, 8)), fb, depth)
+    huge = Decomposition(
+        np.full_like(dec.approx, value),
+        [SubbandTriple(*(np.full_like(band, value) for band in t)) for t in dec.levels],
+    )
+    with pytest.raises(ValueError, match="^idwt2d of dec overflows float64: ") as info:
+        idwt2d(huge, fb)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 @pytest.mark.parametrize("depth", (1, 2, 3))
 def test_perfect_reconstruction(name, depth):
