@@ -11,7 +11,7 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,7 +21,7 @@ from .image import RgbImage, read_image, write_image
 # pipeline.self_s only while cli.run_experiment exists, so the name stays
 from .pipeline import MetricsRecord, run_experiment, run_sweep  # noqa: F401
 from .quantize import LEVEL_CHOICES, level_batch
-from .transform import _check_divisibility
+from .transform import _check_depth, _check_divisibility
 
 
 def _option(parse):
@@ -36,15 +36,12 @@ def _option(parse):
     return option
 
 
-def _integer(text: str, name: str, hint: str = "", minimum: int | None = None) -> int:
-    """int(text); a ValueError that names name if text is not an integer or is below minimum."""
+def _integer(text: str, name: str, hint: str = "") -> int:
+    """int(text); a ValueError that names name if text is not an integer."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"invalid {name} {text!r}{hint}") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
@@ -79,7 +76,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--depth",
-        type=_option(lambda text: _integer(text, "depth", minimum=1)),
+        # transform._check_depth owns the depth rule for the CLI and the library
+        type=_option(lambda text: _check_depth(_integer(text, "depth"))),
         default=1,
         help="decomposition depth (default: 1)",
     )
@@ -167,15 +165,12 @@ def _read_input(path: Path, depth: int) -> RgbImage:
 
 
 @contextmanager
-def _staged(path: Path | None, what: str) -> Iterator[Path | None]:
+def _staged(path: Path, what: str) -> Iterator[Path]:
     """Temp file beside path, made on entry and moved onto path if the block succeeds.
 
     Making it before any compute finds an unwritable destination at once; the
     temp file is removed on any failure, so path keeps its old bytes.
     """
-    if path is None:
-        yield None
-        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         if path.is_dir():
@@ -192,7 +187,7 @@ def _staged(path: Path | None, what: str) -> Iterator[Path | None]:
 
 def _run(args: argparse.Namespace) -> None:
     """Parsed command line to files: check every path, read every input, stage the
-    report and plot data, make the emit directory, run the sweep, write the outputs."""
+    report, the plot data and every emitted image, run the sweep, write the outputs."""
     emit_dir = args.emit_images
     emitted = {} if emit_dir is None else {
         (path.stem, wavelet, levels): emit_dir / f"{path.stem}_{wavelet}_L{levels}.ppm"
@@ -210,10 +205,6 @@ def _run(args: argparse.Namespace) -> None:
         other = options_by_path.setdefault(path.resolve(), option)
         if other != option:
             raise ValueError(f"{other} and {option} both name {path}; give each its own path")
-    # checked here, as writing an emitted image onto a directory fails only mid-sweep
-    for path in emitted.values():
-        if path.is_dir():
-            raise IsADirectoryError(f"cannot write --emit-images {path}: is a directory")
     if args.plot is not None and len(args.inputs) != 1:
         raise ValueError(
             f"--plot expects exactly one input image, got {len(args.inputs)}"
@@ -228,17 +219,22 @@ def _run(args: argparse.Namespace) -> None:
             )
         paths_by_stem[path.stem] = path
     # fail fast: every input is read and checked, and every output file
-    # staged, before any compute or emitted image
+    # staged, before any compute; the stack moves every output into place
+    # only once the sweep and the report have succeeded, or removes them all
     images = {stem: _read_input(path, args.depth) for stem, path in paths_by_stem.items()}
-    with _staged(args.report, "report") as report, _staged(args.plot, "plot data") as plot:
+    with ExitStack() as stack:
+        report = stack.enter_context(_staged(args.report, "report"))
+        plot = None if args.plot is None else stack.enter_context(_staged(args.plot, "plot data"))
         if emit_dir is not None:
             try:
                 emit_dir.mkdir(parents=True, exist_ok=True)
             except OSError as err:
                 raise OSError(f"cannot create --emit-images directory {emit_dir}: {err}") from err
+        staged = {key: stack.enter_context(_staged(path, "--emit-images"))
+                  for key, path in emitted.items()}
 
         def emit(record: MetricsRecord, recon: RgbImage) -> None:
-            emitted[record.image_id, record.wavelet, record.levels].write_bytes(write_image(recon))
+            staged[record.image_id, record.wavelet, record.levels].write_bytes(write_image(recon))
 
         records = run_sweep(images, args.wavelets, args.levels, args.depth,
                             on_reconstruction=emit if emit_dir is not None else None)

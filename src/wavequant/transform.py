@@ -133,10 +133,12 @@ def _synthesis(approx: np.ndarray, detail: np.ndarray, axis: int, fb: FilterBank
 
 
 def _check_depth(depth) -> int:
-    """depth as an int; a ValueError naming depth unless it is an integer >= 1."""
+    """depth as an int; a ValueError naming depth unless it is an integer >= 1, not a bool."""
     import operator
 
     try:
+        if isinstance(depth, bool):
+            raise TypeError
         depth = operator.index(depth)
     except TypeError:
         raise ValueError(f"depth must be an integer, got {depth!r}") from None

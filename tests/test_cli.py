@@ -440,6 +440,30 @@ def test_main_emitted_image_path_that_is_a_directory_fails_before_any_compute(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm", "out"]
 
 
+def test_main_failed_sweep_leaves_the_emit_directory_as_it_was(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "older.ppm").write_bytes(b"older")
+    idwt2d = pipeline.idwt2d
+
+    def failing_on_db4(dec, fb):
+        if fb.name == "db4":
+            raise ValueError("injected")
+        return idwt2d(dec, fb)
+
+    monkeypatch.setattr(pipeline, "idwt2d", failing_on_db4)
+    rc = main(["--wavelets", "db2,db4", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(out_dir), str(corpus[0])])
+    assert rc == 1
+    assert "processing failed for image=img0 wavelet=db4" in capsys.readouterr().err
+    # db2's image was delivered before the failure, yet only staged: none is left
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {"older.ppm": b"older"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm", "out"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("dest", ("missing/r.csv", "existing_dir"))
 def test_main_unwritable_report_fails_before_any_output(tmp_path, corpus, capsys, dest):
     (tmp_path / "existing_dir").mkdir()

@@ -211,6 +211,17 @@ def test_run_sweep_checks_depth_before_any_compute(
     assert calls == [] and seen == []
 
 
+@pytest.mark.parametrize("depth", (True, False))
+def test_run_sweep_rejects_a_bool_depth_before_any_compute(small_natural_image, monkeypatch, depth):
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    seen = []
+    with pytest.raises(ValueError, match=f"depth must be an integer, got {depth}"):
+        run_sweep({"x": small_natural_image}, [DB2], [3], depth,
+                  lambda rec, recon: seen.append(rec))
+    assert calls == [] and seen == []
+
+
 def test_run_sweep_records_carry_wavelet_labels(small_natural_image, monkeypatch):
     want = run_experiment(small_natural_image, "x", [DB2], [3, 5], 1)
     banks = []

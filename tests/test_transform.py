@@ -247,6 +247,13 @@ def test_dwt2d_rejects_a_depth_that_is_not_an_integer(depth):
         dwt2d(np.zeros((8, 8)), get_filter("db2"), depth)
 
 
+@pytest.mark.parametrize("depth", (True, False))
+def test_dwt2d_rejects_a_bool_depth(depth):
+    # operator.index(True) is 1: a bool would otherwise pass as depth 1 (and False as 0)
+    with pytest.raises(ValueError, match=f"depth must be an integer, got {depth}"):
+        dwt2d(np.zeros((8, 8)), get_filter("db2"), depth)
+
+
 # --- non-finite and overflowing input raises, naming the argument ---
 
 NON_FINITE = pytest.mark.parametrize(
