@@ -2,7 +2,7 @@
 
 Per channel: forward DWT, threshold every detail sub-band of every level
 with its own statistics (the approximation is never touched), inverse DWT,
-round half away from zero, clamp to [0, 255].  One generator, _images,
+clamp to [0, 255], round half up.  One generator, _images,
 goes from channels to one RGB image per L of a batch: the forward DWT runs
 once per channel and each sub-band is thresholded once, into a uint8 block
 index and one small centroid table per L; the float detail bands are
@@ -60,14 +60,13 @@ class MetricsRecord:
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
-    """values rounded and clamped to uint8; values, which the caller owns, is overwritten."""
-    # Round half up, exactly: floor(v + 0.5) maps nextafter(0.5, 0) to 1, as that
-    # float64 sum rounds up to 1.0, but floor(v + _BELOW_HALF) is floor(v + 0.5) of
-    # the real sum for every v >= 0.  As the clamp sends every negative value to 0,
-    # this equals rounding half away from zero.
-    np.add(values, _BELOW_HALF, out=values)
-    np.floor(values, out=values)
-    return np.clip(values, 0.0, 255.0, out=values).astype(np.uint8)
+    """values clamped and rounded to uint8; values, which the caller owns, is overwritten."""
+    # Round half up exactly: floor(v + _BELOW_HALF) is floor(v + 0.5) of the real sum,
+    # where the float64 v + 0.5 rounds nextafter(0.5, 0) up to 1.0.  Clamped first, v is
+    # in [0, 255], where astype's truncation is that floor; and clamping before rounding
+    # sends every v below 0 to 0 and above 255 to 255, as clamping after it does.
+    np.clip(values, 0.0, 255.0, out=values)
+    return np.add(values, _BELOW_HALF, out=values).astype(np.uint8)
 
 
 def _channels(img: RgbImage) -> list[np.ndarray]:
@@ -130,9 +129,11 @@ def psnr(orig: RgbImage, recon: RgbImage) -> float:
             f"image dimensions differ: {orig.width}x{orig.height} vs "
             f"{recon.width}x{recon.height}"
         )
-    # exact integer sum of squares; one int64 temporary the size of the image
-    diff = np.subtract(orig.pixels, recon.pixels, dtype=np.int64)
-    mse = int(np.vdot(diff, diff)) / (3.0 * orig.width * orig.height)
+    # exact integer sum of squares, without BLAS, whose threads spin on the sizing
+    # workers' core: a square of at most 255**2 wraps in int16 but reads exactly as
+    # uint16, and their int64 sum cannot overflow
+    diff = np.subtract(orig.pixels, recon.pixels, dtype=np.int16)
+    mse = int(np.square(diff, out=diff).view(np.uint16).sum(dtype=np.int64)) / diff.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)

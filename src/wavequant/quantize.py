@@ -74,7 +74,8 @@ class BlockPartition:
 
     boundaries b_1 < ... < b_{m-1} split the real line into m blocks;
     representatives[i] is the centroid of block i.  Blocks are half-open
-    [lo, hi), the lowest open below, the highest unbounded above.
+    [lo, hi), the lowest open below, the highest unbounded above.  Every
+    boundary and representative is finite.
     """
 
     boundaries: np.ndarray
@@ -87,6 +88,9 @@ class BlockPartition:
         object.__setattr__(self, "representatives", reps)
         if bounds.ndim != 1 or reps.ndim != 1:
             raise ValueError("boundaries and representatives must be 1-D")
+        for name, values in (("boundaries", bounds), ("representatives", reps)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
         if reps.size != bounds.size + 1:
             raise ValueError(
                 f"{reps.size} representatives for {bounds.size} boundaries; "
@@ -288,10 +292,9 @@ def build_partition(coeffs, levels: int) -> BlockPartition:
 
 
 def apply_partition(coeffs, partition: BlockPartition) -> np.ndarray:
-    """Replace every coefficient by the representative of its block."""
-    arr = np.asarray(coeffs, dtype=np.float64)
-    idx = np.searchsorted(partition.boundaries, arr, side="right")
-    return partition.representatives[idx]
+    """Replace every coefficient by the representative of its block, shaped like coeffs."""
+    idx = np.searchsorted(partition.boundaries, _checked(coeffs), side="right")
+    return partition.representatives[idx].reshape(np.shape(coeffs))
 
 
 def threshold_subband(

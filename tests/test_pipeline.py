@@ -125,6 +125,19 @@ def test_psnr_full_difference_is_zero():
     assert psnr(black, white) == 0.0
 
 
+def test_psnr_on_640_rgb_pairs_matches_an_int64_sum_of_squares():
+    rng = np.random.default_rng(25)
+    shape = (640, 640, 3)
+    pairs = (
+        (rng.integers(0, 256, shape, dtype=np.uint8), rng.integers(0, 256, shape, dtype=np.uint8)),
+        (np.zeros(shape, dtype=np.uint8), np.full(shape, 255, dtype=np.uint8)),
+    )
+    for a, b in pairs:
+        diff = np.subtract(a, b, dtype=np.int64)
+        mse = int(np.vdot(diff, diff)) / (3.0 * 640 * 640)
+        assert psnr(RgbImage(a), RgbImage(b)) == 10.0 * math.log10(255.0 * 255.0 / mse)
+
+
 def test_psnr_symmetry(small_natural_image):
     out = process_image(small_natural_image, DB2, 1, 3)
     assert psnr(small_natural_image, out) == psnr(out, small_natural_image)

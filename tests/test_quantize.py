@@ -235,6 +235,35 @@ def test_apply_preserves_shape_and_bounds_distinct_values():
         assert np.unique(out).size <= levels
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.0], [[0.0, 1.0], [2.0, math.nan]]),
+    ids=("nan", "inf", "neg-inf", "nan-2d"),
+)
+def test_apply_partition_rejects_non_finite_coefficients(coeffs):
+    part = build_partition([0.0, 1.0, 2.0, 3.0, 10.0], 3)
+    with pytest.raises(ValueError, match="finite"):
+        apply_partition(coeffs, part)
+
+
+def test_apply_partition_rejects_empty_coefficients():
+    part = build_partition([0.0, 1.0, 2.0, 3.0, 10.0], 3)
+    for coeffs in ([], np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="empty"):
+            apply_partition(coeffs, part)
+
+
+@pytest.mark.parametrize(
+    "boundaries, representatives, field",
+    (([math.nan], [0.0, 1.0], "boundaries"), ([0.0, math.inf], [0.0, 1.0, 2.0], "boundaries"),
+     ([0.0], [math.nan, 1.0], "representatives"), ([0.0], [0.0, -math.inf], "representatives")),
+    ids=("nan-boundary", "inf-boundary", "nan-representative", "inf-representative"),
+)
+def test_block_partition_rejects_non_finite_fields(boundaries, representatives, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        quantize.BlockPartition(boundaries, representatives)
+
+
 # --- per-sub-band operation ---
 
 def test_threshold_zero_matrix_is_identity():
