@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .filters import SUPPORTED_WAVELETS, wavelet_batch
 from .image import RgbImage, read_image, write_image
@@ -103,23 +104,21 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def write_report(records: Sequence[MetricsRecord], path: Path) -> None:
-    """CSV report: image,wavelet,levels,psnr_db,size_bytes (PSNR to 2 decimals)."""
+def write_report(records: Sequence[MetricsRecord]) -> bytes:
+    """CSV report: image,wavelet,levels,psnr_db,size_bytes (PSNR to 2 decimals), UTF-8."""
     if not records:
         raise ValueError("no records to report")
-    try:
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["image", "wavelet", "levels", "psnr_db", "size_bytes"])
-            for rec in records:
-                writer.writerow(
-                    [rec.image_id, rec.wavelet, rec.levels, f"{rec.psnr_db:.2f}", rec.size_bytes]
-                )
-    except OSError as err:
-        raise OSError(f"cannot write report {path}: {err}") from err
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["image", "wavelet", "levels", "psnr_db", "size_bytes"])
+    for rec in records:
+        writer.writerow(
+            [rec.image_id, rec.wavelet, rec.levels, f"{rec.psnr_db:.2f}", rec.size_bytes]
+        )
+    return out.getvalue().encode("utf-8")
 
 
-def write_plot_data(records: Sequence[MetricsRecord], path: Path) -> None:
+def write_plot_data(records: Sequence[MetricsRecord]) -> bytes:
     """PSNR-vs-levels columns for one image: level, then one column per wavelet."""
     if not records:
         raise ValueError("no records to plot")
@@ -146,10 +145,7 @@ def write_plot_data(records: Sequence[MetricsRecord], path: Path) -> None:
     lines = ["level " + " ".join(wavelets)]
     for lvl in levels:
         lines.append(f"{lvl} " + " ".join(f"{table[(w, lvl)]:.2f}" for w in wavelets))
-    try:
-        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    except OSError as err:
-        raise OSError(f"cannot write plot data {path}: {err}") from err
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _read_input(path: Path, depth: int) -> RgbImage:
@@ -165,22 +161,29 @@ def _read_input(path: Path, depth: int) -> RgbImage:
 
 
 @contextmanager
-def _staged(path: Path, what: str) -> Iterator[Path]:
-    """Temp file beside path, made on entry and moved onto path if the block succeeds.
+def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
+    """put(data), which writes data to a temp file beside path; the temp file is made
+    on entry and moved onto path if the block succeeds.
 
-    Making it before any compute finds an unwritable destination at once; the
-    temp file is removed on any failure, so path keeps its old bytes.
+    Making it before any compute finds an unwritable destination at once; it is
+    removed on any failure, so path keeps its old bytes, and a failure to make,
+    write or move it names path.  Its name is random: a killed run leaves its
+    temp file behind, and a later run must not collide with it.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+
+    def attempt(action: Callable, *args) -> None:
+        try:
+            if path.is_dir():  # never replaceable; found on entry, before any compute
+                raise IsADirectoryError("is a directory")
+            action(*args)
+        except OSError as err:
+            raise OSError(f"cannot write {what} {path}: {err}") from err
+
+    attempt(lambda: tmp.open("x").close())
     try:
-        if path.is_dir():
-            raise IsADirectoryError("is a directory")
-        tmp.open("x").close()
-    except OSError as err:
-        raise OSError(f"cannot write {what} {path}: {err}") from err
-    try:
-        yield tmp
-        os.replace(tmp, path)
+        yield lambda data: attempt(tmp.write_bytes, data)
+        attempt(os.replace, tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -234,13 +237,13 @@ def _run(args: argparse.Namespace) -> None:
                   for key, path in emitted.items()}
 
         def emit(record: MetricsRecord, recon: RgbImage) -> None:
-            staged[record.image_id, record.wavelet, record.levels].write_bytes(write_image(recon))
+            staged[record.image_id, record.wavelet, record.levels](write_image(recon))
 
         records = run_sweep(images, args.wavelets, args.levels, args.depth,
                             on_reconstruction=emit if emit_dir is not None else None)
-        write_report(records, report)
+        report(write_report(records))
         if plot is not None:
-            write_plot_data(records, plot)
+            plot(write_plot_data(records))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

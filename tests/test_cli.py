@@ -1,6 +1,9 @@
 """CLI argument handling, report/plot formats, end-to-end runs, exit codes."""
 
+import errno
+import io
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -131,35 +134,29 @@ def test_parse_args_requires_positive_depth(capsys):
 
 # --- write_report ---
 
-def test_report_single_row_format(tmp_path):
-    path = tmp_path / "report.csv"
-    write_report([record()], path)
-    assert path.read_bytes() == (
+def test_report_single_row_format():
+    assert write_report([record()]) == (
         b"image,wavelet,levels,psnr_db,size_bytes\n"
         b"photo,db2,3,34.45,37069\n"
     )
 
 
-def test_report_infinity_sentinel(tmp_path):
-    path = tmp_path / "report.csv"
-    write_report([record(psnr=float("inf"))], path)
-    assert b"photo,db2,3,inf,37069" in path.read_bytes()
+def test_report_infinity_sentinel():
+    assert b"photo,db2,3,inf,37069" in write_report([record(psnr=float("inf"))])
 
 
-def test_report_line_count_and_endings(tmp_path):
+def test_report_line_count_and_endings():
     records = [
         record(wavelet=w, levels=lvl)
         for w in ("db2", "db4", "db6", "db8", "coif1", "coif2", "coif3", "coif4", "coif5")
         for lvl in (3, 5, 7)
     ]
-    path = tmp_path / "report.csv"
-    write_report(records, path)
-    data = path.read_bytes()
+    data = write_report(records)
     assert data.count(b"\n") == 28
     assert b"\r" not in data
 
 
-def test_report_roundtrips_through_csv(tmp_path):
+def test_report_roundtrips_through_csv():
     import csv
 
     records = [
@@ -167,10 +164,8 @@ def test_report_roundtrips_through_csv(tmp_path):
         record(wavelet="coif4", levels=7, psnr=41.0, size=10),
         record(image='c,d "e"'),
     ]
-    path = tmp_path / "report.csv"
-    write_report(records, path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    text = write_report(records).decode("utf-8")
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
     assert len(rows) == 3
     for rec, row in zip(records, rows):
         assert row["image"] == rec.image_id
@@ -180,9 +175,9 @@ def test_report_roundtrips_through_csv(tmp_path):
         assert int(row["size_bytes"]) == rec.size_bytes
 
 
-def test_report_rejects_empty(tmp_path):
+def test_report_rejects_empty():
     with pytest.raises(ValueError, match="no records"):
-        write_report([], tmp_path / "r.csv")
+        write_report([])
 
 
 # --- write_plot_data ---
@@ -196,10 +191,8 @@ def full_grid(image="photo"):
     ]
 
 
-def test_plot_data_full_grid(tmp_path):
-    path = tmp_path / "plot.dat"
-    write_plot_data(full_grid(), path)
-    lines = path.read_text().splitlines()
+def test_plot_data_full_grid():
+    lines = write_plot_data(full_grid()).decode("utf-8").splitlines()
     assert len(lines) == 4
     assert lines[0].split() == [
         "level", "db2", "db4", "db6", "db8",
@@ -210,25 +203,28 @@ def test_plot_data_full_grid(tmp_path):
                                 "42.00", "43.00", "44.00", "45.00"]
 
 
-def test_plot_data_single_wavelet_grid(tmp_path):
+def test_plot_data_single_wavelet_grid():
     records = [record(wavelet="db4", levels=lvl) for lvl in (3, 5, 7)]
-    path = tmp_path / "plot.dat"
-    write_plot_data(records, path)
-    lines = path.read_text().splitlines()
+    lines = write_plot_data(records).decode("utf-8").splitlines()
     assert lines[0].split() == ["level", "db4"]
     assert all(len(line.split()) == 2 for line in lines[1:])
 
 
-def test_plot_data_missing_combination(tmp_path):
+def test_plot_data_missing_combination():
     records = [r for r in full_grid() if not (r.wavelet == "coif2" and r.levels == 5)]
     with pytest.raises(ValueError, match="coif2/5"):
-        write_plot_data(records, tmp_path / "plot.dat")
+        write_plot_data(records)
 
 
-def test_plot_data_rejects_multiple_images(tmp_path):
+def test_plot_data_rejects_multiple_images():
     records = full_grid("a") + full_grid("b")
     with pytest.raises(ValueError, match="one image"):
-        write_plot_data(records, tmp_path / "plot.dat")
+        write_plot_data(records)
+
+
+def test_plot_data_rejects_empty():
+    with pytest.raises(ValueError, match="no records to plot"):
+        write_plot_data([])
 
 
 # --- end to end ---
@@ -488,3 +484,83 @@ def test_main_unwritable_plot_keeps_existing_report(tmp_path, corpus, capsys):
     assert f"cannot write plot data {plot}" in capsys.readouterr().err
     assert report.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm", "r.csv"]
+
+
+# --- a failed make, write or move names the destination and changes no output ---
+
+OLD_OUTPUTS = {"r.csv": b"old report", "p.dat": b"old plot", "out/img0_db2_L3.ppm": b"old image"}
+
+
+def run_over_old_outputs(tmp_path, corpus):
+    """main over OLD_OUTPUTS, written first, with every output of one db2/L3 run."""
+    (tmp_path / "out").mkdir()
+    for name, data in OLD_OUTPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    return main(["--wavelets", "db2", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+                 "--plot", str(tmp_path / "p.dat"), "--emit-images", str(tmp_path / "out"),
+                 str(corpus[0])])
+
+
+@pytest.mark.parametrize(
+    "name, what",
+    (("r.csv", "report"), ("p.dat", "plot data"), ("out/img0_db2_L3.ppm", "--emit-images")),
+    ids=("report", "plot", "emitted-image"),
+)
+def test_main_failed_write_names_the_destination(
+    tmp_path, corpus, capsys, monkeypatch, name, what
+):
+    dest = tmp_path / name
+    open_ = Path.open
+
+    def open_on_a_full_disk(self, mode="r", *args, **kwargs):
+        # dest's staged temp file is made, but writing to it fails
+        if "w" in mode and self.name.startswith(f".{dest.name}."):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return open_(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+    assert run_over_old_outputs(tmp_path, corpus) == 1
+    assert f"cannot write {what} {dest}: [Errno 28] " in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert {name: (tmp_path / name).read_bytes() for name in OLD_OUTPUTS} == OLD_OUTPUTS
+
+
+def test_main_failed_move_names_the_destination(tmp_path, corpus, capsys, monkeypatch):
+    dest = tmp_path / "out" / "img0_db2_L3.ppm"
+    replace = os.replace
+
+    def replace_failing_on_dest(src, dst):
+        if Path(dst) == dest:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_on_dest)
+    assert run_over_old_outputs(tmp_path, corpus) == 1
+    assert f"cannot write --emit-images {dest}: [Errno 5] " in capsys.readouterr().err
+    # the emitted images move first, so the report and the plot data stay staged
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert {name: (tmp_path / name).read_bytes() for name in OLD_OUTPUTS} == OLD_OUTPUTS
+
+
+def test_main_temp_file_left_by_a_killed_run_does_not_block_the_next(tmp_path, corpus):
+    # a killed run leaves its temp file; a later process may get the same pid
+    stale = tmp_path / f".r.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"left behind")
+    report = tmp_path / "r.csv"
+    assert main(["--wavelets", "db2", "--levels", "3", "--report", str(report),
+                 str(corpus[0])]) == 0
+    assert report.read_bytes().startswith(b"image,wavelet,levels,psnr_db,size_bytes\n")
+    assert stale.read_bytes() == b"left behind"
+
+
+def test_main_outputs_have_the_mode_the_umask_gives(tmp_path, corpus):
+    umask = os.umask(0o027)
+    try:
+        rc = run_over_old_outputs(tmp_path, corpus)
+    finally:
+        os.umask(umask)
+    assert rc == 0
+    # replaced, not rewritten: each output is a new file, made under the umask
+    assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in OLD_OUTPUTS} == {
+        name: 0o666 & ~0o027 for name in OLD_OUTPUTS
+    }

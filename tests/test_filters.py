@@ -1,5 +1,6 @@
 """Certification of the embedded filter banks and the QMF/synthesis rules."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -194,6 +195,12 @@ def test_derivation_tools_are_not_runtime_imports():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_filter_bank_rejects_filters_of_different_lengths():
+    fb = get_filter("db2")
+    with pytest.raises(ValueError, match="lowpass/highpass length mismatch"):
+        dataclasses.replace(fb, highpass=fb.highpass[:-1])
 
 
 def test_get_filter_rejects_unknown_names():

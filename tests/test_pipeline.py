@@ -657,10 +657,16 @@ def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch
     submitted, delivered = [], []  # weakref of each image queued for sizing; each record delivered
     # undelivered at each job's start and after each queued size; images alive at each start
     at_start, after_queueing, alive_at_start = [], [], []
+    # no size is done before the third job starts, when two jobs' sizes are queued and
+    # undelivered; the backlog is not yet exceeded then, so the compute never waits for it
+    assert 2 * len(batch) <= pipeline._BACKLOG
+    ahead = threading.Event()
     images, size = pipeline._images, pipeline.encoded_size
 
     def counted_images(*args):
         at_start.append(len(submitted) - len(delivered))
+        if len(at_start) == 3:
+            ahead.set()
         gc.collect()
         alive_at_start.append(sum(image() is not None for image in submitted))
         for recon in images(*args):
@@ -671,7 +677,7 @@ def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch
             yield recon
 
     def encoded_size(recon):
-        time.sleep(0.01)  # sizing far slower than the compute of a 32x32 image
+        ahead.wait(timeout=10)
         return size(recon)
 
     monkeypatch.setattr(pipeline, "_images", counted_images)

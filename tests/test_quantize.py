@@ -264,6 +264,18 @@ def test_block_partition_rejects_non_finite_fields(boundaries, representatives, 
         quantize.BlockPartition(boundaries, representatives)
 
 
+@pytest.mark.parametrize(
+    "boundaries, representatives, message",
+    (([[0.0]], [0.0, 1.0], "must be 1-D"),
+     ([0.0], [1.0], "1 representatives for 1 boundaries"),
+     ([1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing")),
+    ids=("not-1-d", "representative-count", "not-increasing"),
+)
+def test_block_partition_rejects_malformed_fields(boundaries, representatives, message):
+    with pytest.raises(ValueError, match=message):
+        quantize.BlockPartition(boundaries, representatives)
+
+
 # --- per-sub-band operation ---
 
 def test_threshold_zero_matrix_is_identity():

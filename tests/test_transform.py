@@ -241,6 +241,11 @@ def test_dwt2d_rejects_indivisible_dimensions():
         dwt2d(np.zeros((0, 4)), fb, 1)
 
 
+def test_dwt2d_rejects_a_plane_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"plane must be 2-D, got shape \(16,\)"):
+        dwt2d(np.zeros(16), get_filter("db2"), 1)
+
+
 @pytest.mark.parametrize("depth", (2.0, 1.5))
 def test_dwt2d_rejects_a_depth_that_is_not_an_integer(depth):
     with pytest.raises(ValueError, match=f"depth must be an integer, got {depth}"):
