@@ -124,9 +124,7 @@ def write_plot_data(records: Sequence[MetricsRecord]) -> bytes:
         raise ValueError("no records to plot")
     image_ids = {rec.image_id for rec in records}
     if len(image_ids) != 1:
-        raise ValueError(
-            f"plot data needs records of exactly one image, got {sorted(image_ids)}"
-        )
+        raise ValueError(f"plot data needs records of exactly one image, got {sorted(image_ids)}")
     wavelets: list[str] = []
     levels: list[int] = []
     table: dict[tuple[str, int], float] = {}
@@ -174,13 +172,16 @@ def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
 
     def attempt(action: Callable, *args) -> None:
         try:
-            if path.is_dir():  # never replaceable; found on entry, before any compute
-                raise IsADirectoryError("is a directory")
             action(*args)
         except OSError as err:
             raise OSError(f"cannot write {what} {path}: {err}") from err
 
-    attempt(lambda: tmp.open("x").close())
+    def make() -> None:
+        if path.is_dir():  # never replaceable, and the temp file beside it would be made
+            raise IsADirectoryError("is a directory")
+        tmp.open("x").close()
+
+    attempt(make)
     try:
         yield lambda data: attempt(tmp.write_bytes, data)
         attempt(os.replace, tmp, path)
@@ -209,9 +210,7 @@ def _run(args: argparse.Namespace) -> None:
         if other != option:
             raise ValueError(f"{other} and {option} both name {path}; give each its own path")
     if args.plot is not None and len(args.inputs) != 1:
-        raise ValueError(
-            f"--plot expects exactly one input image, got {len(args.inputs)}"
-        )
+        raise ValueError(f"--plot expects exactly one input image, got {len(args.inputs)}")
     # an input's stem is its image id in the report and in emitted file names
     paths_by_stem: dict[str, Path] = {}
     for path in args.inputs:

@@ -657,16 +657,22 @@ def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch
     submitted, delivered = [], []  # weakref of each image queued for sizing; each record delivered
     # undelivered at each job's start and after each queued size; images alive at each start
     at_start, after_queueing, alive_at_start = [], [], []
-    # no size is done before the third job starts, when two jobs' sizes are queued and
-    # undelivered; the backlog is not yet exceeded then, so the compute never waits for it
-    assert 2 * len(batch) <= pipeline._BACKLOG
-    ahead = threading.Event()
+    # no size is done before job `gate` starts, when exactly _BACKLOG sizes are queued and
+    # undelivered; that job's sizes then take the sweep past the backlog, into its wait.
+    # Sizes are done only after the next job starts, or after a second: a sweep that
+    # keeps the bound waits for them first, and one that does not starts that job with
+    # all of them undelivered
+    gate = pipeline._BACKLOG // len(batch) + 1
+    assert pipeline._BACKLOG % len(batch) == 0 and len(SUPPORTED_WAVELETS) > gate
+    ahead, beyond = threading.Event(), threading.Event()
     images, size = pipeline._images, pipeline.encoded_size
 
     def counted_images(*args):
         at_start.append(len(submitted) - len(delivered))
-        if len(at_start) == 3:
+        if len(at_start) == gate:
             ahead.set()
+        if len(at_start) == gate + 1:
+            beyond.set()
         gc.collect()
         alive_at_start.append(sum(image() is not None for image in submitted))
         for recon in images(*args):
@@ -678,6 +684,7 @@ def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch
 
     def encoded_size(recon):
         ahead.wait(timeout=10)
+        beyond.wait(timeout=1)
         return size(recon)
 
     monkeypatch.setattr(pipeline, "_images", counted_images)
@@ -689,6 +696,7 @@ def test_run_sweep_holds_at_most_the_backlog_and_one_job_undelivered(monkeypatch
     assert records == delivered and len(records) == len(SUPPORTED_WAVELETS) * len(batch)
     bound = pipeline._BACKLOG + len(batch)
     assert max(at_start + after_queueing) <= bound
+    assert max(after_queueing) == bound  # the sweep neither waits early nor holds more
     assert max(alive_at_start) <= bound
     # the compute ran ahead of the sizes by more than the one job a wait on each job leaves
     assert max(at_start) > len(batch)
