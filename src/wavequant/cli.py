@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -189,6 +190,26 @@ def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
         tmp.unlink(missing_ok=True)
 
 
+@contextmanager
+def _made_directory(path: Path) -> Iterator[None]:
+    """Make the --emit-images directory path and its missing parents; if the block
+    or the making fails, remove the ones made, deepest first, so the run leaves no
+    new directory.  One that existed stays, with its files."""
+    missing: list[Path] = []
+    try:
+        try:
+            missing += itertools.takewhile(lambda p: not p.exists(), (path, *path.parents))
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise OSError(f"cannot create --emit-images directory {path}: {err}") from err
+        yield
+    except BaseException:
+        for made in missing:
+            with suppress(OSError):  # never made, as mkdir failed first, or not empty
+                made.rmdir()
+        raise
+
+
 def _run(args: argparse.Namespace) -> None:
     """Parsed command line to files: check every path, read every input, stage the
     report, the plot data and every emitted image, run the sweep, write the outputs."""
@@ -214,6 +235,12 @@ def _run(args: argparse.Namespace) -> None:
     # an input's stem is its image id in the report and in emitted file names
     paths_by_stem: dict[str, Path] = {}
     for path in args.inputs:
+        try:
+            path.stem.encode("utf-8")  # the report's encoding
+        except UnicodeEncodeError:  # a name byte that is not UTF-8, decoded by os.fsdecode
+            raise ValueError(
+                f"input {os.fsencode(path)!r}: its image id is not UTF-8; rename it"
+            ) from None
         if path.stem in paths_by_stem:
             raise ValueError(
                 f"inputs {paths_by_stem[path.stem]} and {path} share the image id "
@@ -228,10 +255,7 @@ def _run(args: argparse.Namespace) -> None:
         report = stack.enter_context(_staged(args.report, "report"))
         plot = None if args.plot is None else stack.enter_context(_staged(args.plot, "plot data"))
         if emit_dir is not None:
-            try:
-                emit_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as err:
-                raise OSError(f"cannot create --emit-images directory {emit_dir}: {err}") from err
+            stack.enter_context(_made_directory(emit_dir))
         staged = {key: stack.enter_context(_staged(path, "--emit-images"))
                   for key, path in emitted.items()}
 

@@ -31,10 +31,12 @@ is exact integer arithmetic (exponent-binned accumulation after Demmel and
 Hida, "Accurate and efficient floating point summation", 2003): each value
 is split by its binary exponent into two 26-bit integer halves, one
 np.bincount per half adds them per (group, exponent) without rounding, and
-one Python int per group is rounded once to float64.  The result does not
-depend on summation order, so every output is invariant under permutation
-of the input.  Unlike fsum, a sum raises only when its exact value
-overflows float64, never for an overflowing partial sum.
+each group's total is one Python int in units of 2**-1126, of which every
+finite float64 is an integer multiple, rounded once to float64.  Totals of
+any value sets share that unit, so they add and subtract as plain ints.  The
+result does not depend on summation order, so every output is invariant
+under permutation of the input.  Unlike fsum, a sum raises only when its
+exact value overflows float64, never for an overflowing partial sum.
 
 A value's block is the count of cuts at or below it, so a tie goes to the
 upper block.  Only mu and sigma read the whole band: one split of the values
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -143,8 +144,10 @@ def _overflow() -> ValueError:
 # A finite float64 x is m * 2**(e - 53), where (m / 2**53, e) = frexp(x) and m is an
 # integer with |m| < 2**53.  Its halves m = high * 2**26 + low have |high| <= 2**27
 # and 0 <= low < 2**26, so a float64 sum of either half over at most _CHUNK values
-# is an exact integer.
+# is an exact integer.  As e >= -1073, every finite float64, and every exact sum of
+# them, is an integer multiple of 2**-1126: the unit of every total.
 _CHUNK = 1 << 26
+_UNIT = 1 << 1126
 
 
 class _Summands:
@@ -152,11 +155,10 @@ class _Summands:
 
     def __init__(self, values: np.ndarray) -> None:
         mant, exp = np.frexp(values)
-        # no values take the top exponent, so that they never lower a shift
-        lowest = int(exp.min(initial=sys.float_info.max_exp))
-        self.span = int(exp.max(initial=lowest)) - lowest + 1
-        self.shift = lowest - 53
-        exp -= lowest
+        # 1024 is the top frexp exponent of a finite float64
+        self.lowest = int(exp.min(initial=1024))
+        self.span = int(exp.max(initial=self.lowest)) - self.lowest + 1
+        exp -= self.lowest
         self.bins = exp
         # high = floor(m / 2**26) and low = m - high * 2**26; scaling by a power of two is exact
         mant *= 2.0**27
@@ -166,7 +168,7 @@ class _Summands:
         self.low = mant
 
     def totals(self, groups: np.ndarray, count: int) -> list[int]:
-        """The exact sum of each group 0..count-1, as an int t standing for t * 2**shift."""
+        """The exact sum of each group 0..count-1, as an int in units of 2**-1126."""
         keys = np.multiply(groups, self.span, dtype=np.intp)
         keys += self.bins
         totals = [0] * count
@@ -181,19 +183,21 @@ class _Summands:
                 group.tolist(), exp.tolist(), highs[group, exp].tolist(), lows[group, exp].tolist()
             ):
                 totals[g] += ((int(high) << 26) + int(low)) << e
-        return totals
+        return [t << (self.lowest + 1073) for t in totals]
 
-    def round(self, total: int) -> float:
-        """total * 2**shift, correctly rounded like math.fsum: int true division
-        and int-to-float conversion round once, and zero is +0.0."""
-        try:
-            return float(total << self.shift) if self.shift >= 0 else total / (1 << -self.shift)
-        except OverflowError:
-            raise _overflow() from None
 
-    def means(self, totals: list[int], sizes: list[int]) -> list[float]:
-        """Each exact total over its count; 0.0 stands in for an empty group."""
-        return [self.round(t) / k if k else 0.0 for t, k in zip(totals, sizes)]
+def _round(total: int) -> float:
+    """A total in units of 2**-1126, correctly rounded like math.fsum: int true
+    division rounds once, and zero is +0.0."""
+    try:
+        return total / _UNIT
+    except OverflowError:
+        raise _overflow() from None
+
+
+def _means(totals: list[int], sizes: list[int]) -> list[float]:
+    """Each exact total over its count; 0.0 stands in for an empty group."""
+    return [_round(t) / k if k else 0.0 for t, k in zip(totals, sizes)]
 
 
 def _stds(deviations: np.ndarray, groups: np.ndarray, sizes: list[int]) -> list[float]:
@@ -203,29 +207,27 @@ def _stds(deviations: np.ndarray, groups: np.ndarray, sizes: list[int]) -> list[
         squares = np.square(deviations, out=deviations)
     if not math.isfinite(squares.max(initial=0.0)):
         raise _overflow()
-    parts = _Summands(squares)
-    return [math.sqrt(v) for v in parts.means(parts.totals(groups, len(sizes)), sizes)]
+    return [math.sqrt(v) for v in _means(_Summands(squares).totals(groups, len(sizes)), sizes)]
 
 
 def _refine(
     arr: np.ndarray, top: int
-) -> tuple[_Summands, dict[int, list[float]], np.ndarray, list[int], list[int]]:
-    """The summands of arr, the sorted raw cuts of every L up to top, each value's
-    block under the cuts of top (the count of those cuts at or below it), and the
-    size and exact total of each of those blocks.
+) -> tuple[dict[int, list[float]], np.ndarray, list[int], list[int]]:
+    """The sorted raw cuts of every L up to top, each value's block under the cuts
+    of top (the count of those cuts at or below it), and the size and exact total
+    (see _Summands.totals) of each of those blocks.
 
     Only mu and sigma read every value.  The centre block [mu-sigma, mu+sigma) is
     never cut again, so the tails' moments, their cuts and their block totals come
     from the tail members alone; the centre's total is the overall total minus the
     tails'.
     """
-    parts = _Summands(arr)
     index = np.zeros(arr.shape, dtype=np.uint8)
-    (total,) = parts.totals(index, 1)
-    mean = parts.round(total) / arr.size
+    (total,) = _Summands(arr).totals(index, 1)
+    mean = _round(total) / arr.size
     (std,) = _stds(arr - mean, index, [arr.size])
     if std == 0.0:
-        return parts, {level: [] for level in LEVEL_CHOICES}, index, [arr.size], [total]
+        return {level: [] for level in LEVEL_CHOICES}, index, [arr.size], [total]
     cuts = [mean - std, mean + std]
     by_level = {3: cuts.copy()}
     for cut in cuts:
@@ -236,7 +238,7 @@ def _refine(
     if top >= 5:
         # 0 and 2 for the lower and upper tail; the centre group is empty
         sizes = np.bincount(tail_index, minlength=3).tolist()
-        means = tail_parts.means(tail_parts.totals(tail_index, 3), sizes)
+        means = _means(tail_parts.totals(tail_index, 3), sizes)
         # each nonempty tail: its group, the interval its cuts fall in, the side of its L=7 cut
         tails = [(0, -math.inf, cuts[0], -1.0), (2, cuts[1], math.inf, 1.0)]
         tails = [t for t in tails if sizes[t[0]]]
@@ -258,14 +260,12 @@ def _refine(
     centre = 1 + sum(cut < cuts[0] for cut in cuts)
     sizes = np.bincount(tail_index, minlength=len(cuts) + 1).tolist()
     sizes[centre] = arr.size - len(members)
-    # a subset's lowest exponent is never below the whole set's, so the shift is >= 0
-    shift = tail_parts.shift - parts.shift
-    totals = [t << shift for t in tail_parts.totals(tail_index, len(sizes))]
+    totals = tail_parts.totals(tail_index, len(sizes))
     totals[centre] = total - sum(totals)
     if centre > 1:
         index += centre - 1
     index[members] = tail_index
-    return parts, by_level, index, sizes, totals
+    return by_level, index, sizes, totals
 
 
 def threshold_cuts(coeffs, levels: int) -> list[float]:
@@ -274,16 +274,16 @@ def threshold_cuts(coeffs, levels: int) -> list[float]:
     Returned sorted ascending; nested across levels for fixed input.
     """
     _check_level(levels)
-    return _refine(_checked(coeffs), levels)[1][levels]
+    return _refine(_checked(coeffs), levels)[0][levels]
 
 
 def build_partition(coeffs, levels: int) -> BlockPartition:
     """Partition the coefficients into at most L centroid blocks; an empty block's
     span goes to a neighbor."""
     _check_level(levels)
-    parts, by_level, _, sizes, totals = _refine(_checked(coeffs), levels)
+    by_level, _, sizes, totals = _refine(_checked(coeffs), levels)
     cuts = by_level[levels]
-    centroids = parts.means(totals, sizes)
+    centroids = _means(totals, sizes)
     used = [block for block, size in enumerate(sizes) if size]
     return BlockPartition(
         np.array([cuts[block - 1] for block in used[1:]]),
@@ -309,7 +309,7 @@ def threshold_subband(
     summed and indexed once for all of them.
     """
     batch = level_batch(levels)
-    parts, by_level, index, sizes, totals = _refine(_checked(mat), max(batch))
+    by_level, index, sizes, totals = _refine(_checked(mat), max(batch))
     fine = by_level[max(batch)]
     tables = []
     for level in batch:
@@ -320,6 +320,6 @@ def threshold_subband(
         for block, size, total in zip(owner, sizes, totals):
             block_sizes[block] += size
             block_totals[block] += total
-        tables.append(np.array(parts.means(block_totals, block_sizes))[owner])
+        tables.append(np.array(_means(block_totals, block_sizes))[owner])
     index = index.reshape(np.shape(mat))
     return tables[0][index] if np.ndim(levels) == 0 else (index, tables)

@@ -460,6 +460,58 @@ def test_main_failed_sweep_leaves_the_emit_directory_as_it_was(
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_main_failed_sweep_removes_the_emit_directories_it_made(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "older.ppm").write_bytes(b"older")
+
+    def failing(dec, fb):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(pipeline, "idwt2d", failing)
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(kept / "new" / "deeper"), str(corpus[0])])
+    assert rc == 1
+    assert "processing failed for image=img0 wavelet=db2" in capsys.readouterr().err
+    # kept/new and kept/new/deeper are gone; kept existed and keeps its file
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == {"older.ppm": b"older"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm", "kept"]
+
+
+def test_main_successful_run_keeps_the_emit_directories_it_made(tmp_path, corpus):
+    out_dir = tmp_path / "new" / "deeper"
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(out_dir), str(corpus[0])])
+    assert rc == 0
+    assert [p.name for p in out_dir.iterdir()] == ["img0_db2_L3.ppm"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_main_input_whose_image_id_is_not_utf8_fails_before_any_compute(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    # a name byte that is not UTF-8 decodes to a lone surrogate, which the report cannot encode
+    bad = tmp_path / os.fsdecode(b"\xff\xfe.ppm")
+    try:
+        bad.write_bytes(corpus[0].read_bytes())
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", str(tmp_path / "r.csv"),
+               "--emit-images", str(tmp_path / "em"), str(corpus[1]), str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"input {os.fsencode(bad)!r}: its image id is not UTF-8" in err
+    assert calls == []
+    # no report, emit directory or staged temp file
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["img0.ppm", "img1.ppm", bad.name]
+    )
+
+
 @pytest.mark.parametrize("dest", ("missing/r.csv", "existing_dir"))
 def test_main_unwritable_report_fails_before_any_output(tmp_path, corpus, capsys, dest):
     (tmp_path / "existing_dir").mkdir()

@@ -469,9 +469,9 @@ def reference_sum(values):
             return "overflow"
 
 
-def exact_sum(parts, total):
+def exact_sum(total):
     try:
-        return parts.round(total).hex()
+        return quantize._round(total).hex()
     except ValueError as err:
         assert str(err) == "coefficient statistics overflow float64"
         return "overflow"
@@ -486,15 +486,32 @@ def test_property_exact_sums_match_fsum(chunk, data):
         parts = quantize._Summands(np.array(values))
         (total,) = parts.totals(np.zeros(len(values), np.uint8), 1)
         grouped = parts.totals(np.array(groups, dtype=np.uint8), 3)
-    assert exact_sum(parts, total) == reference_sum(values)
+    assert exact_sum(total) == reference_sum(values)
     for group, group_total in enumerate(grouped):
         members = [v for v, g in zip(values, groups) if g == group]
-        assert exact_sum(parts, group_total) == reference_sum(members)
+        assert exact_sum(group_total) == reference_sum(members)
+
+
+@pytest.mark.parametrize("chunk", (quantize._CHUNK, 7), ids=("one-chunk", "chunks-of-7"))
+@settings(derandomize=True, deadline=None)
+@given(grouped_summands())
+def test_property_totals_of_two_sets_add_up_to_the_whole(chunk, data):
+    """Totals share one unit, so the centre block's total is the band's minus the tails'."""
+    values, groups = data
+    first = [v for v, g in zip(values, groups) if g == 0]
+    rest = [v for v, g in zip(values, groups) if g != 0]
+    with mock.patch.object(quantize, "_CHUNK", chunk):
+        (whole,), (total_first,), (total_rest,) = (
+            quantize._Summands(np.array(s, dtype=np.float64)).totals(np.zeros(len(s), np.uint8), 1)
+            for s in (values, first, rest)
+        )
+    assert total_first + total_rest == whole
+    assert exact_sum(total_first + total_rest) == reference_sum(values)
 
 
 def test_exact_sum_ignores_partial_overflow_but_statistics_still_overflow():
     for values in ([1e308, 1e308, -1e308], [-1e308, 1e308, 1e308]):
         parts = quantize._Summands(np.array(values))
-        assert parts.round(*parts.totals(np.zeros(len(values), np.uint8), 1)) == 1e308
+        assert quantize._round(*parts.totals(np.zeros(len(values), np.uint8), 1)) == 1e308
         with pytest.raises(ValueError, match="overflow"):  # the squared deviations do not fit
             threshold_cuts(values, 3)
