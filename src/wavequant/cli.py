@@ -164,12 +164,15 @@ def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
     """put(data), which writes data to a temp file beside path; the temp file is made
     on entry and moved onto path if the block succeeds.
 
-    Making it before any compute finds an unwritable destination at once; it is
-    removed on any failure, so path keeps its old bytes, and a failure to make,
-    write or move it names path.  Its name is random: a killed run leaves its
-    temp file behind, and a later run must not collide with it.
+    path is resolved first, so a symlink stays and its target, made if missing,
+    gets the data.  Making the temp file before any compute finds an unwritable
+    destination at once; it is removed on any failure, so path keeps its old
+    bytes, and a failure to make, write or move it names path.  Its name is
+    random: a killed run leaves its temp file behind, and a later run must not
+    collide with it.
     """
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    target = path.resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
 
     def attempt(action: Callable, *args) -> None:
         try:
@@ -185,7 +188,7 @@ def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
     attempt(make)
     try:
         yield lambda data: attempt(tmp.write_bytes, data)
-        attempt(os.replace, tmp, path)
+        attempt(os.replace, tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
 

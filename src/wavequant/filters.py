@@ -37,8 +37,8 @@ against the table's polyphase matrix by the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +50,12 @@ _Scale = tuple[float, int]  # (scale, shift) of one output channel
 class FilterBank:
     """Analysis filter pair of one orthogonal wavelet.
 
-    lowpass is the scaling filter h (sum = sqrt(2), unit norm), highpass the
-    wavelet filter g derived by the QMF rule.  vanishing_moments is the
-    number of vanishing moments of g: K for dbK, 2K for coifK.
+    lowpass is the scaling filter h (sum = sqrt(2), unit norm).  highpass, the
+    wavelet filter g, is not an argument: it is derived on construction as
+    qmf_highpass(lowpass), so an odd or empty lowpass is refused and
+    dataclasses.replace(bank, lowpass=...) derives it again.  Both arrays are
+    read-only.  vanishing_moments is the number of vanishing moments of g: K
+    for dbK, 2K for coifK.
 
     steps and scaling factor the same bank into lifting steps, in analysis
     order.  A step (target, ((power, coeff), ...)) adds
@@ -64,18 +67,16 @@ class FilterBank:
 
     name: str
     lowpass: np.ndarray
-    highpass: np.ndarray
     vanishing_moments: int
     steps: tuple[_Step, ...]
     scaling: tuple[_Scale, _Scale]
+    highpass: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for attr in ("lowpass", "highpass"):
-            arr = np.asarray(getattr(self, attr), dtype=np.float64)
+        lowpass = np.asarray(self.lowpass, dtype=np.float64)
+        for attr, arr in (("lowpass", lowpass), ("highpass", qmf_highpass(lowpass))):
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
-        if self.lowpass.shape != self.highpass.shape:
-            raise ValueError("lowpass/highpass length mismatch")
 
     @property
     def length(self) -> int:
@@ -373,15 +374,8 @@ _LIFTING: dict[str, tuple[tuple[_Step, ...], tuple[_Scale, _Scale]]] = {
 
 
 _REGISTRY: dict[str, FilterBank] = {
-    name: FilterBank(
-        name=name,
-        lowpass=taps,
-        highpass=qmf_highpass(taps),
-        # dbK has 2K taps and K vanishing moments, coifK 6K taps and 2K moments
-        vanishing_moments=len(taps) // 2 if name.startswith("db") else len(taps) // 3,
-        steps=_LIFTING[name][0],
-        scaling=_LIFTING[name][1],
-    )
+    # dbK has 2K taps and K vanishing moments, coifK 6K taps and 2K moments
+    name: FilterBank(name, taps, len(taps) // (2 if name.startswith("db") else 3), *_LIFTING[name])
     for name, taps in _LOWPASS.items()
 }
 
@@ -390,6 +384,8 @@ SUPPORTED_WAVELETS: tuple[str, ...] = tuple(_REGISTRY)
 
 def get_filter(name: str) -> FilterBank:
     """Look up a filter bank by label such as "db2"; case and outer spaces are ignored."""
+    if not isinstance(name, str):
+        raise ValueError(f"wavelet name must be a string, got {name!r}")
     label = name.strip().lower()
     if label not in _REGISTRY:
         raise ValueError(
@@ -401,11 +397,14 @@ def get_filter(name: str) -> FilterBank:
 def wavelet_batch(names: Sequence[str]) -> tuple[str, ...]:
     """The labels of names, in order, as get_filter resolves them ("DB2" is "db2").
 
-    names must be a nonempty list, not one name as a string, and name each
-    wavelet at most once.
+    names must be a nonempty list, not one name as a string nor a set, and name
+    each wavelet at most once.
     """
     if isinstance(names, str):
         raise ValueError(f"wavelets must be a list of names, got the string {names!r}")
+    # a set's order varies between processes, and the order of a sweep's records with it
+    if isinstance(names, (set, frozenset)) or not isinstance(names, Iterable):
+        raise ValueError(f"wavelets must be a list of names, got {names!r}")
     labels = tuple(get_filter(name).name for name in names)
     if not labels:
         raise ValueError("wavelets list must be nonempty")

@@ -106,17 +106,19 @@ def _check_level(level) -> None:
     try:
         if operator.index(level) in LEVEL_CHOICES:
             return
-    except TypeError:
-        pass
+    except TypeError:  # shown by its repr, so that "3" does not read as an L
+        level = repr(level)
     raise ValueError(f"levels must be in {set(LEVEL_CHOICES)}, got {level}")
 
 
 def level_batch(levels: int | Sequence[int]) -> tuple[int, ...]:
     """The requested L as a tuple of ints: (levels,) for one L, else the sequence's L in order.
 
-    A sequence must be nonempty and name each L in LEVEL_CHOICES at most once.
-    A numpy integer becomes the int it equals.
+    A sequence must be nonempty, not a set, and name each L in LEVEL_CHOICES at
+    most once.  A numpy integer becomes the int it equals.
     """
+    if isinstance(levels, (set, frozenset)):  # its order varies between processes
+        raise ValueError(f"levels must be one L or a list of L, got {levels!r}")
     batch = (levels,) if np.ndim(levels) == 0 else tuple(levels)
     if not batch:
         raise ValueError(f"levels must name at least one L, got {levels!r}")

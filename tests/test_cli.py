@@ -594,6 +594,30 @@ def test_main_failed_move_names_the_destination(tmp_path, corpus, capsys, monkey
     assert {name: (tmp_path / name).read_bytes() for name in OLD_OUTPUTS} == OLD_OUTPUTS
 
 
+@pytest.mark.parametrize("old", (b"old", None), ids=("existing-target", "dangling-link"))
+def test_main_outputs_named_through_a_symlink_are_written_to_its_target(tmp_path, corpus, old):
+    links = {"link.csv": "data/r.csv", "link.dat": "data/p.dat",
+             "out/img0_db2_L3.ppm": "../data/img0_db2_L3.ppm"}
+    (tmp_path / "data").mkdir()
+    (tmp_path / "out").mkdir()
+    for link, target in links.items():
+        (tmp_path / link).symlink_to(target)
+        if old is not None:
+            (tmp_path / link).write_bytes(old)
+    grid = ["--wavelets", "db2", "--levels", "3", str(corpus[0])]
+    assert main(["--report", str(tmp_path / "link.csv"), "--plot", str(tmp_path / "link.dat"),
+                 "--emit-images", str(tmp_path / "out"), *grid]) == 0
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert main(["--report", str(plain / "r.csv"), "--plot", str(plain / "p.dat"),
+                 "--emit-images", str(plain), *grid]) == 0
+    for link, target in links.items():
+        assert os.readlink(tmp_path / link) == target
+        name = Path(target).name
+        assert (tmp_path / "data" / name).read_bytes() == (plain / name).read_bytes()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_main_temp_file_left_by_a_killed_run_does_not_block_the_next(tmp_path, corpus):
     # a killed run leaves its temp file; a later process may get the same pid
     stale = tmp_path / f".r.csv.{os.getpid()}.tmp"

@@ -12,7 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wavequant
-from wavequant.filters import SUPPORTED_WAVELETS, get_filter, qmf_highpass, wavelet_batch
+from wavequant.filters import (
+    SUPPORTED_WAVELETS, FilterBank, get_filter, qmf_highpass, wavelet_batch,
+)
 from wavequant.transform import Decomposition, SubbandTriple, idwt2d
 
 EXPECTED = {
@@ -197,10 +199,37 @@ def test_derivation_tools_are_not_runtime_imports():
     assert proc.stdout.strip() == "[]"
 
 
-def test_filter_bank_rejects_filters_of_different_lengths():
+def test_filter_bank_highpass_cannot_be_given():
+    # derived from the lowpass, so no bank holds a highpass that is not its QMF filter
     fb = get_filter("db2")
-    with pytest.raises(ValueError, match="lowpass/highpass length mismatch"):
-        dataclasses.replace(fb, highpass=fb.highpass[:-1])
+    with pytest.raises(ValueError, match="highpass"):
+        dataclasses.replace(fb, highpass=fb.lowpass)
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_registry_highpass_is_the_read_only_qmf_of_the_lowpass(name):
+    fb = get_filter(name)
+    assert np.array_equal(fb.highpass, qmf_highpass(fb.lowpass))
+    with pytest.raises(ValueError):
+        fb.highpass[0] = 0.0
+
+
+def test_filter_bank_refuses_an_odd_lowpass_on_construction():
+    with pytest.raises(ValueError, match="even"):
+        FilterBank("x", [1.0, 2.0, 3.0], 1, (), ((1.0, 0), (1.0, 0)))
+
+
+def test_replacing_the_lowpass_derives_the_highpass_again():
+    fb = dataclasses.replace(get_filter("db2"), lowpass=[1.0, 2.0, 3.0, 4.0])
+    assert_allclose(fb.highpass, [4.0, -3.0, 2.0, -1.0], atol=0)
+
+
+def test_wavelet_arguments_of_a_wrong_type_are_value_errors():
+    with pytest.raises(ValueError, match="wavelet name must be a string, got 3$"):
+        get_filter(3)
+    for names in (None, 3, {"db2", "db4"}, frozenset({"db2"})):
+        with pytest.raises(ValueError, match="wavelets must be a list of names, got "):
+            wavelet_batch(names)
 
 
 def test_get_filter_rejects_unknown_names():

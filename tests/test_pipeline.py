@@ -192,8 +192,11 @@ def test_run_experiment_checks_levels_once_before_any_compute(small_natural_imag
     "wavelets, message",
     (([DB2, "nope"], "unsupported wavelet 'nope'"), ([DB2, "DB2"], "wavelet db2 is repeated"),
      ([], "wavelets list must be nonempty"),
-     (DB2, "wavelets must be a list of names, got the string 'db2'")),
-    ids=("unknown", "repeated", "empty", "bare-string"),
+     (DB2, "wavelets must be a list of names, got the string 'db2'"),
+     ([3], "wavelet name must be a string, got 3$"),
+     ({DB2}, r"wavelets must be a list of names, got \{'db2'\}$"),
+     (None, "wavelets must be a list of names, got None$")),
+    ids=("unknown", "repeated", "empty", "bare-string", "not-a-string", "set", "none"),
 )
 def test_run_sweep_checks_wavelets_before_any_compute(
     small_natural_image, monkeypatch, wavelets, message
@@ -431,7 +434,7 @@ def test_process_plane_and_image_take_one_level_checked_before_any_compute(
             process_image(small_natural_image, DB2, 1, levels)
     # a sweep's levels list is a batch of L, checked as one before any compute too
     bad = (([], "at least one L"), ([3, 3], "level 3 is repeated"), ([3, 4], "got 4"),
-           ([5, 3.0], r"got 3\.0$"))
+           ([5, 3.0], r"got 3\.0$"), ("3", "got '3'$"))
     for levels, message in bad:
         with pytest.raises(ValueError, match=message):
             run_sweep({"x": small_natural_image}, [DB2], levels, 1)

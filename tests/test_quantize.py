@@ -78,8 +78,11 @@ def test_rejects_statistics_overflow(entry):
 @pytest.mark.parametrize(
     "levels, message",
     (((), r"at least one L, got \(\)"), ([3, 5, 3], "level 3 is repeated"),
-     ((5, 4), "got 4"), ([9], "got 9"), (3.0, r"got 3\.0$"), ([5.0, 3], r"got 5\.0$")),
-    ids=("empty", "repeated", "outside", "outside-only", "float", "float-in-sequence"),
+     ((5, 4), "got 4"), ([9], "got 9"), (3.0, r"got 3\.0$"), ([5.0, 3], r"got 5\.0$"),
+     ("3", "got '3'$"), ([np.int64(4)], "got 4$"),
+     ({3, 5}, r"^levels must be one L or a list of L, got \{3, 5\}$")),
+    ids=("empty", "repeated", "outside", "outside-only", "float", "float-in-sequence",
+         "string", "numpy-integer", "set"),
 )
 def test_rejects_bad_levels_sequence(levels, message):
     with pytest.raises(ValueError, match=message):
