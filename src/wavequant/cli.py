@@ -46,7 +46,7 @@ def _integer(text: str, name: str, hint: str = "") -> int:
         raise ValueError(f"invalid {name} {text!r}{hint}") from None
 
 
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="wavequant",
         description=(
@@ -160,18 +160,20 @@ def _read_input(path: Path, depth: int) -> RgbImage:
 
 
 @contextmanager
-def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
-    """put(data), which writes data to a temp file beside path; the temp file is made
-    on entry and moved onto path if the block succeeds.
+def _staged(path: Path, target: Path, what: str) -> Iterator[Callable[[bytes], None]]:
+    """put(data), which writes data to a temp file beside target, the file that path
+    resolved to; the temp file is made on entry and moved onto target if the block
+    succeeds.
 
-    path is resolved first, so a symlink stays and its target, made if missing,
-    gets the data.  Making the temp file before any compute finds an unwritable
-    destination at once; it is removed on any failure, so path keeps its old
-    bytes, and a failure to make, write or move it names path.  Its name is
-    random: a killed run leaves its temp file behind, and a later run must not
-    collide with it.
+    target is used as given, never resolved again, so the file written is the one
+    the caller checked, even if a link on the way was changed since; a link named
+    through path stays and its target, made if missing, gets the data.  A target
+    that is still a symlink is a loop, refused on entry.  Making the temp file
+    before any compute finds an unwritable destination at once; it is removed on
+    any failure, so target keeps its old bytes, and a failure to make, write or
+    move it names path.  Its name is random: a killed run leaves its temp file
+    behind, and a later run must not collide with it.
     """
-    target = path.resolve()
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
 
     def attempt(action: Callable, *args) -> None:
@@ -181,8 +183,10 @@ def _staged(path: Path, what: str) -> Iterator[Callable[[bytes], None]]:
             raise OSError(f"cannot write {what} {path}: {err}") from err
 
     def make() -> None:
-        if path.is_dir():  # never replaceable, and the temp file beside it would be made
+        if target.is_dir():  # never replaceable, and the temp file beside it would be made
             raise IsADirectoryError("is a directory")
+        if target.is_symlink():  # realpath leaves a loop unresolved
+            raise OSError("symlink loop")
         tmp.open("x").close()
 
     attempt(make)
@@ -221,16 +225,18 @@ def _run(args: argparse.Namespace) -> None:
         (path.stem, wavelet, levels): emit_dir / f"{path.stem}_{wavelet}_L{levels}.ppm"
         for path in args.inputs for wavelet in args.wavelets for levels in args.levels
     }
-    # every path the run reads or writes, resolved: an output that named an input or
-    # another output would replace it or block it
-    options_by_path: dict[Path, str] = {}
-    for option, path in (*(("an input", path) for path in args.inputs),
-                         ("--report", args.report), ("--plot", args.plot),
-                         ("--emit-images", emit_dir),
-                         *(("--emit-images", path) for path in emitted.values())):
-        if path is None:
-            continue
-        other = options_by_path.setdefault(path.resolve(), option)
+    # every path the run reads or writes, resolved here once: an output that named an
+    # input or another output would replace it or block it, and each output is written
+    # to the target compared here.  Non-strict realpath never raises for a symlink loop
+    # (Path.resolve did before 3.13): it returns the loop's link, which _staged refuses
+    named = [(option, path) for option, path in (
+        *(("an input", path) for path in args.inputs), ("--report", args.report),
+        ("--plot", args.plot), ("--emit-images", emit_dir),
+        *(("--emit-images", path) for path in emitted.values())) if path is not None]
+    targets = {path: Path(os.path.realpath(path)) for _, path in named}
+    options_by_target: dict[Path, str] = {}
+    for option, path in named:
+        other = options_by_target.setdefault(targets[path], option)
         if other != option:
             raise ValueError(f"{other} and {option} both name {path}; give each its own path")
     if args.plot is not None and len(args.inputs) != 1:
@@ -255,12 +261,14 @@ def _run(args: argparse.Namespace) -> None:
     # only once the sweep and the report have succeeded, or removes them all
     images = {stem: _read_input(path, args.depth) for stem, path in paths_by_stem.items()}
     with ExitStack() as stack:
-        report = stack.enter_context(_staged(args.report, "report"))
-        plot = None if args.plot is None else stack.enter_context(_staged(args.plot, "plot data"))
+        def stage(path: Path, what: str) -> Callable[[bytes], None]:
+            return stack.enter_context(_staged(path, targets[path], what))
+
+        report = stage(args.report, "report")
+        plot = None if args.plot is None else stage(args.plot, "plot data")
         if emit_dir is not None:
             stack.enter_context(_made_directory(emit_dir))
-        staged = {key: stack.enter_context(_staged(path, "--emit-images"))
-                  for key, path in emitted.items()}
+        staged = {key: stage(path, "--emit-images") for key, path in emitted.items()}
 
         def emit(record: MetricsRecord, recon: RgbImage) -> None:
             staged[record.image_id, record.wavelet, record.levels](write_image(recon))
@@ -273,7 +281,7 @@ def _run(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    args = parse_args(argv)
     try:
         _run(args)
     except Exception as err:

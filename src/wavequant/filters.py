@@ -54,8 +54,9 @@ class FilterBank:
     wavelet filter g, is not an argument: it is derived on construction as
     qmf_highpass(lowpass), so an odd or empty lowpass is refused and
     dataclasses.replace(bank, lowpass=...) derives it again.  Both arrays are
-    read-only.  vanishing_moments is the number of vanishing moments of g: K
-    for dbK, 2K for coifK.
+    read-only, and lowpass is a copy, so a later write to the caller's array
+    changes neither.  vanishing_moments is the number of vanishing moments of
+    g: K for dbK, 2K for coifK.
 
     steps and scaling factor the same bank into lifting steps, in analysis
     order.  A step (target, ((power, coeff), ...)) adds
@@ -73,7 +74,7 @@ class FilterBank:
     highpass: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        lowpass = np.asarray(self.lowpass, dtype=np.float64)
+        lowpass = np.array(self.lowpass, dtype=np.float64)  # a copy: the caller's stays writable
         for attr, arr in (("lowpass", lowpass), ("highpass", qmf_highpass(lowpass))):
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)

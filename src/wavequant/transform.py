@@ -21,6 +21,7 @@ order.  The kernel never writes into its inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,8 +135,6 @@ def _synthesis(approx: np.ndarray, detail: np.ndarray, axis: int, fb: FilterBank
 
 def _check_depth(depth) -> int:
     """depth as an int; a ValueError naming depth unless it is an integer >= 1, not a bool."""
-    import operator
-
     try:
         if isinstance(depth, bool):
             raise TypeError

@@ -640,3 +640,82 @@ def test_main_outputs_have_the_mode_the_umask_gives(tmp_path, corpus):
     assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in OLD_OUTPUTS} == {
         name: 0o666 & ~0o027 for name in OLD_OUTPUTS
     }
+
+
+# --- each path is resolved once, before any input is read ---
+
+
+def test_main_output_is_written_to_the_target_checked_though_its_link_changed_since(
+    tmp_path, corpus, monkeypatch
+):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "a.ppm").write_bytes(corpus[0].read_bytes())
+    link = tmp_path / "link.csv"
+    link.symlink_to("data/r.csv")
+    read_input = wavequant.cli._read_input
+
+    def read_then_retarget(path, depth):
+        img = read_input(path, depth)
+        link.unlink()
+        link.symlink_to("a.ppm")  # now it names the input, which the check refused
+        return img
+
+    monkeypatch.setattr(wavequant.cli, "_read_input", read_then_retarget)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--wavelets", "db2", "--levels", "3", "--report", "link.csv", "a.ppm"]) == 0
+    assert (tmp_path / "a.ppm").read_bytes() == corpus[0].read_bytes()
+    assert (tmp_path / "data" / "r.csv").read_bytes().startswith(
+        b"image,wavelet,levels,psnr_db,size_bytes\na,db2,3,"
+    )
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def tree(root):
+    """Every path under root: a link's target, a file's bytes, or None for a directory."""
+    return {
+        str(p.relative_to(root)): os.readlink(p) if p.is_symlink()
+        else None if p.is_dir() else p.read_bytes()
+        for p in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize(
+    "outputs, link, what",
+    ((["--report", "a.csv", "--emit-images", "new"], "a.csv", "report"),
+     (["--report", "r.csv", "--plot", "a.csv", "--emit-images", "new"], "a.csv", "plot data"),
+     (["--report", "r.csv", "--emit-images", "out"], "out/img0_db2_L3.ppm", "--emit-images")),
+    ids=("report", "plot", "emitted-image"),
+)
+def test_main_output_named_through_a_symlink_loop_fails_before_any_compute(
+    tmp_path, corpus, capsys, monkeypatch, outputs, link, what
+):
+    # link -> b -> link, beside each other
+    (tmp_path / link).parent.mkdir(exist_ok=True)
+    (tmp_path / link).symlink_to(Path(link).with_stem("b").name)
+    (tmp_path / link).with_stem("b").symlink_to(Path(link).name)
+    before = tree(tmp_path)
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--wavelets", "db2", "--levels", "3", *outputs, str(corpus[0])])
+    assert rc == 1
+    assert f"wavequant: error: cannot write {what} {link}: symlink loop\n" in (
+        capsys.readouterr().err
+    )
+    assert calls == []
+    # both links as they were; no report, emit directory or staged temp file
+    assert tree(tmp_path) == before
+
+
+def test_main_input_named_through_a_symlink_loop_fails_before_any_compute(
+    tmp_path, capsys, monkeypatch
+):
+    (tmp_path / "c.ppm").symlink_to("c.ppm")
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", "r.csv", "c.ppm"])
+    assert rc == 1
+    assert "wavequant: error: cannot read c.ppm: " in capsys.readouterr().err
+    assert calls == []
+    assert tree(tmp_path) == {"c.ppm": "c.ppm"}

@@ -258,3 +258,14 @@ def test_filter_arrays_are_read_only():
     fb = get_filter("db4")
     with pytest.raises(ValueError):
         fb.lowpass[0] = 0.0
+
+
+def test_filter_bank_keeps_a_read_only_copy_of_the_callers_lowpass():
+    h = np.array(get_filter("db2").lowpass)
+    fb = FilterBank("x", h, 2, (), ((1.0, 0), (1.0, 0)))
+    lowpass, highpass = fb.lowpass.copy(), fb.highpass.copy()
+    assert h.flags.writeable
+    assert fb.lowpass is not h and not fb.lowpass.flags.writeable
+    # the highpass was derived from h on construction; a later write to h changes neither
+    h[:] = 0.0
+    assert np.array_equal(fb.lowpass, lowpass) and np.array_equal(fb.highpass, highpass)
