@@ -689,10 +689,11 @@ def tree(root):
 def test_main_output_named_through_a_symlink_loop_fails_before_any_compute(
     tmp_path, corpus, capsys, monkeypatch, outputs, link, what
 ):
-    # link -> b -> link, beside each other
-    (tmp_path / link).parent.mkdir(exist_ok=True)
-    (tmp_path / link).symlink_to(Path(link).with_stem("b").name)
-    (tmp_path / link).with_stem("b").symlink_to(Path(link).name)
+    first = tmp_path / link
+    second = first.with_stem("b")  # first -> second -> first
+    first.parent.mkdir(exist_ok=True)
+    first.symlink_to(second.name)
+    second.symlink_to(first.name)
     before = tree(tmp_path)
     calls = []
     monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
