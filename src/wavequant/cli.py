@@ -19,8 +19,9 @@ from typing import Callable, Iterator, Sequence
 
 from .filters import SUPPORTED_WAVELETS, wavelet_batch
 from .image import RgbImage, read_image, write_image
-# unused here, as _run runs every image in one run_sweep; bench/spans.py reports
-# pipeline.self_s only while cli.run_experiment exists, so the name stays
+# unused here, as _run runs every image in one run_sweep; the benchmark's tracer
+# wraps cli.run_experiment, and its traced smoke test requires every per-layer
+# metric, pipeline.self_s among them, which it reports only while the name exists
 from .pipeline import MetricsRecord, run_experiment, run_sweep  # noqa: F401
 from .quantize import LEVEL_CHOICES, level_batch
 from .transform import _check_depth, _check_divisibility
@@ -147,13 +148,19 @@ def write_plot_data(records: Sequence[MetricsRecord]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _reason(err: OSError) -> str:
+    """err as "[Errno N] strerror", or its text if it has no errno: never the file
+    name it carries, which may be a temp file or a resolved target, not the path given."""
+    return f"[Errno {err.errno}] {err.strerror}" if err.errno is not None else str(err)
+
+
 def _read_input(path: Path, depth: int) -> RgbImage:
     """Decode one input and check its dimensions against 2^depth."""
     try:
         img = read_image(path.read_bytes())
         _check_divisibility(img.height, img.width, depth)
     except OSError as err:
-        raise OSError(f"cannot read {path}: {err}") from err
+        raise OSError(f"cannot read {path}: {_reason(err)}") from err
     except ValueError as err:  # a malformed file or indivisible dimensions
         raise ValueError(f"{path}: {err}") from err
     return img
@@ -180,7 +187,7 @@ def _staged(path: Path, target: Path, what: str) -> Iterator[Callable[[bytes], N
         try:
             action(*args)
         except OSError as err:
-            raise OSError(f"cannot write {what} {path}: {err}") from err
+            raise OSError(f"cannot write {what} {path}: {_reason(err)}") from err
 
     def make() -> None:
         if target.is_dir():  # never replaceable, and the temp file beside it would be made
@@ -198,17 +205,21 @@ def _staged(path: Path, target: Path, what: str) -> Iterator[Callable[[bytes], N
 
 
 @contextmanager
-def _made_directory(path: Path) -> Iterator[None]:
-    """Make the --emit-images directory path and its missing parents; if the block
-    or the making fails, remove the ones made, deepest first, so the run leaves no
-    new directory.  One that existed stays, with its files."""
+def _made_directory(path: Path, target: Path) -> Iterator[None]:
+    """Make target, the directory that the --emit-images path resolved to, and its
+    missing parents; if the block or the making fails, remove the ones made, deepest
+    first, so the run leaves no new directory.  One that existed stays, with its
+    files.  A target that is still a symlink is a loop, refused as _staged refuses
+    one; a failure names path."""
     missing: list[Path] = []
     try:
         try:
-            missing += itertools.takewhile(lambda p: not p.exists(), (path, *path.parents))
-            path.mkdir(parents=True, exist_ok=True)
+            if target.is_symlink():  # realpath leaves a loop unresolved
+                raise OSError("symlink loop")
+            missing += itertools.takewhile(lambda p: not p.exists(), (target, *target.parents))
+            target.mkdir(parents=True, exist_ok=True)
         except OSError as err:
-            raise OSError(f"cannot create --emit-images directory {path}: {err}") from err
+            raise OSError(f"cannot create --emit-images directory {path}: {_reason(err)}") from err
         yield
     except BaseException:
         for made in missing:
@@ -267,7 +278,7 @@ def _run(args: argparse.Namespace) -> None:
         report = stage(args.report, "report")
         plot = None if args.plot is None else stage(args.plot, "plot data")
         if emit_dir is not None:
-            stack.enter_context(_made_directory(emit_dir))
+            stack.enter_context(_made_directory(emit_dir, targets[emit_dir]))
         staged = {key: stage(path, "--emit-images") for key, path in emitted.items()}
 
         def emit(record: MetricsRecord, recon: RgbImage) -> None:

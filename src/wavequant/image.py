@@ -45,9 +45,7 @@ class RgbImage:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RgbImage):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
+        return bool(np.array_equal(self.pixels, other.pixels))  # False for unequal shapes
 
 
 # one header field: whitespace and '#' comments (to end of line), then the token

@@ -24,7 +24,8 @@ calling thread and in grid order, at the end of the next compute; the
 calling thread waits for sizes only while more than a small backlog of them
 is undelivered, and at the end of the sweep.  One failure rule holds for a
 failed compute and a failed size alike: every reconstruction before it in
-grid order is delivered, nothing at or after it.
+grid order is delivered, nothing at or after it, and the error raised is the
+earliest in grid order.
 """
 
 from __future__ import annotations
@@ -174,17 +175,17 @@ def run_sweep(
     ones whose size is done is delivered, without waiting: its record is
     made and on_reconstruction called, on the calling thread and in grid
     order.  The calling thread waits for the oldest size only while more
-    than _BACKLOG sizes are undelivered, and at the end.  A failed compute
-    is queued behind the reconstructions before it, as a failed size is, so
-    one rule holds for both: every reconstruction before the failure in grid
-    order is delivered, also the earlier L of the failing (image, wavelet),
-    and nothing at or after it; the error raised is the earliest in grid
-    order.  Without a callback no reconstruction is kept.  A failure aborts
-    the whole sweep, annotated with the image, the wavelet and the levels;
-    queued sizes are then dropped, and no worker outlives the call.
+    than _BACKLOG sizes are undelivered, and at the end.  One rule holds
+    for a failed compute and a failed size alike: every reconstruction
+    before the failure in grid order is delivered, also the earlier L of
+    the failing (image, wavelet), and nothing at or after it; the error
+    raised is the earliest in grid order.  Without a callback no
+    reconstruction is kept.  A failure aborts the whole sweep, annotated
+    with the image, the wavelet and the levels; queued sizes are then
+    dropped, and no worker outlives the call.
     """
     # imported here: concurrent.futures loads logging, which the CLI's import should not pay for
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
     wavelets = wavelet_batch(wavelets)
     batch = level_batch(levels_list)
@@ -192,9 +193,14 @@ def run_sweep(
     records: list[MetricsRecord] = []
 
     # reconstructions computed and not yet delivered, in grid order: (image id,
-    # wavelet, levels, psnr, recon or None, size future); a failed compute is
-    # one more entry, whose future holds the error
+    # wavelet, levels, psnr, recon or None, size future); every entry is a real
+    # reconstruction, as a failed compute raises where it happens
     pending: deque[tuple] = deque()
+
+    def failure(image_id: str, wavelet: str, err: Exception) -> RuntimeError:
+        """err, raised by a compute or a size of (image_id, wavelet), annotated."""
+        return RuntimeError(f"processing failed for image={image_id} wavelet={wavelet} "
+                            f"levels={','.join(map(str, batch))}: {err}")
 
     def deliver(backlog: int) -> None:
         """Deliver the head reconstructions whose sizes are done, in grid order,
@@ -204,10 +210,7 @@ def run_sweep(
             try:
                 record = MetricsRecord(image_id, wavelet, levels, psnr_db, size.result())
             except Exception as err:
-                raise RuntimeError(
-                    f"processing failed for image={image_id} wavelet={wavelet} "
-                    f"levels={','.join(map(str, batch))}: {err}"
-                ) from err
+                raise failure(image_id, wavelet, err) from err
             records.append(record)
             if on_reconstruction is not None:
                 on_reconstruction(record, recon)
@@ -227,10 +230,10 @@ def run_sweep(
                         for levels, recon in zip(batch, _images(channels, wavelet, depth, batch))
                     )
                 except Exception as err:
-                    failed = Future()
-                    failed.set_exception(err)
-                    pending.append((image_id, wavelet, None, None, None, failed))
-                    deliver(0)  # raises, at the earliest failure in grid order
+                    # the earlier L of this wavelet are already queued; every queued
+                    # reconstruction goes first, and an earlier failed size wins
+                    deliver(0)
+                    raise failure(image_id, wavelet, err) from err
                 deliver(_BACKLOG)
         deliver(0)
     finally:

@@ -594,6 +594,22 @@ def test_main_failed_move_names_the_destination(tmp_path, corpus, capsys, monkey
     assert {name: (tmp_path / name).read_bytes() for name in OLD_OUTPUTS} == OLD_OUTPUTS
 
 
+def test_main_failed_make_names_the_path_given_and_not_the_temp_file(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", "missing/r.csv", "img0.ppm"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+    assert err == f"wavequant: error: cannot write report missing/r.csv: {reason}\n"
+    assert ".tmp" not in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img0.ppm", "img1.ppm"]
+
+
 @pytest.mark.parametrize("old", (b"old", None), ids=("existing-target", "dangling-link"))
 def test_main_outputs_named_through_a_symlink_are_written_to_its_target(tmp_path, corpus, old):
     links = {"link.csv": "data/r.csv", "link.dat": "data/p.dat",
@@ -720,3 +736,33 @@ def test_main_input_named_through_a_symlink_loop_fails_before_any_compute(
     assert "wavequant: error: cannot read c.ppm: " in capsys.readouterr().err
     assert calls == []
     assert tree(tmp_path) == {"c.ppm": "c.ppm"}
+
+
+def test_main_emit_directory_named_through_a_symlink_loop_fails_before_any_compute(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    (tmp_path / "d").symlink_to("d")
+    before = tree(tmp_path)
+    calls = []
+    monkeypatch.setattr(pipeline, "dwt2d", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--wavelets", "db2", "--levels", "3", "--report", "r.csv", "--emit-images", "d",
+               "img0.ppm"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "wavequant: error: cannot create --emit-images directory d: symlink loop\n"
+    )
+    assert calls == []
+    # the link as it was; no report or staged temp file
+    assert tree(tmp_path) == before
+
+
+def test_main_emit_directory_named_through_a_dangling_link_is_made_at_its_target(
+    tmp_path, corpus, monkeypatch
+):
+    (tmp_path / "out").symlink_to("data/out")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--wavelets", "db2", "--levels", "3", "--report", "r.csv", "--emit-images",
+                 "out", "img0.ppm"]) == 0
+    assert os.readlink(tmp_path / "out") == "data/out"
+    assert sorted(p.name for p in (tmp_path / "data" / "out").iterdir()) == ["img0_db2_L3.ppm"]

@@ -144,6 +144,17 @@ def test_roundtrip_larger_image():
     assert read_image(write_image(img)) == img
 
 
+# --- equality ---
+
+def test_images_are_equal_only_in_shape_and_bytes():
+    raw = np.arange(6, dtype=np.uint8)
+    wide, tall = RgbImage(raw.reshape(1, 2, 3)), RgbImage(raw.reshape(2, 1, 3))
+    assert wide == RgbImage(raw.reshape(1, 2, 3).copy())
+    assert wide != tall  # the same bytes in another shape
+    assert wide.__eq__(None) is NotImplemented
+    assert (wide == None) is False  # noqa: E711
+
+
 # --- channels ---
 
 def test_split_solid_red():
